@@ -41,7 +41,7 @@ from .eisenstein import (
     series_f_prime,
 )
 from .expansion import max_terms_cap, sequences
-from .oracle import catalan_2adic_oracle, zeta_p_oracle
+from .oracle import OracleInconsistency, catalan_2adic_oracle, zeta_p_oracle
 
 _ORACLE_TARGETS = ("zeta-p2", "zeta-p3", "catalan")
 _FORMS = ("e", "e-star", "e-prime", "evil", "f", "f-prime")
@@ -81,8 +81,7 @@ def _cmd_series(parser, args) -> int:
     if (args.form is None) == (args.case is None):
         parser.error("exactly one of --form and --case is required")
     prec = args.prec
-    if prec < 1:
-        parser.error("--prec must be positive")
+    _check_cap(parser, prec)
     if args.case is not None:
         config = _resolve_case(parser, args.case, args.k)
         series = curves.uniformizer_series(config, prec)
@@ -176,9 +175,12 @@ def _cmd_certify(parser, args) -> int:
     config = _resolve_case(parser, args.case, args.k)
     table = sequences(config, count)
     eta = _case_oracle(config, args.bits)
-    report = criterion_check(
-        config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
-    )
+    try:
+        report = criterion_check(
+            config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
+        )
+    except ValueError as exc:
+        parser.error(f"--window {window[0]} {window[1]}: {exc}")
     lines = []
     for cert in report.certificates:
         lines.append(
@@ -345,6 +347,9 @@ def main(argv=None) -> int:
         return args.func(parser, args)
     except curves.IdentityError as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)
+        return 1
+    except OracleInconsistency as exc:
+        print(f"oracle inconsistency: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -86,18 +86,6 @@ _SIGNS = {
     "catalan-p2": (1, -1),
 }
 
-# Geometry bookkeeping that is documented but not machine-checked: where the
-# relevant elliptic point or cusp sits in f-coordinates, and the Fricke-type
-# involution that bounds the supremum norm of f on the ordinary locus.
-GEOMETRY_NOTES = {
-    "zeta-p2": "elliptic value f = -2^-6; involution 2^12 f -> 1/f; |f| <= 1 "
-               "on the ordinary locus, |f| <= 2^12 after the involution",
-    "zeta-p3": "elliptic value f = -3^-3; involution 3^6 f -> 1/f",
-    "zeta-p5": "elliptic value pair for f; involution 5^3 f -> 1/f",
-    "catalan-p2": "cusp 1/2 at z = -2^-4; involution 2^8 z -> 1/z; "
-                  "overconvergence radius 2^8",
-}
-
 
 def catalog(family: str, k: int = 1) -> CaseConfig:
     """Build the configuration for one case; k indexes the zeta weight 2k."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import curves, eisenstein
 from .exactnum import lcm_upto
@@ -45,37 +46,49 @@ def max_terms_cap() -> int:
     return cap
 
 
-def reexpand(h: QSeries, f: QSeries, count: int) -> list[Fraction]:
-    """First `count` coefficients of H rewritten as a series in f.
+def reexpand(
+    h: QSeries, f: QSeries, count: int, *more: QSeries
+) -> list[tuple[Fraction, ...]]:
+    """Rewrite h, and each series in `more`, as power series in f: row m of
+    the result holds [f^m] of h, then of each series in `more`, for m < count.
 
-    Requires f = q + O(q^2) exactly (the triangular peel consumes one q-order
-    per output order, so `count` may not exceed the shared precision).
+    Contract: f is integral and f = q + O(q^2), so f^m starts at q^m with
+    coefficient 1 and [f^m]H needs only q^0..q^m of H and f.  One pass over
+    the powers f^m peels every series, in integers over the common
+    denominator of its first `count` coefficients; only f^m is kept.
     """
-    prec = min(h.prec, f.prec)
-    if count < 1 or count > prec:
+    hs = (h, *more)
+    if count < 1 or count > min(s.prec for s in (*hs, f)):
         raise ValueError("count must be within the available precision")
     if f[0] != 0 or f[1] != 1:
         raise ValueError("re-expansion needs a uniformizer f = q + O(q^2)")
-    rem = list(h.coeffs[:prec])
-    fc = f.coeffs[:prec]
-    fpow = [Fraction(1)] + [Fraction(0)] * (prec - 1)  # f**m, starts at q^m
-    out: list[Fraction] = []
+    if any(c.denominator != 1 for c in f.coeffs[:count]):
+        raise ValueError("re-expansion needs a uniformizer with integer coefficients")
+    # f = q + sum_j c_j q^j over the nonzero c_j with j >= 2.
+    tail = [(j, c.numerator) for j, c in enumerate(f.coeffs[2:count], 2) if c]
+    dens = [lcm(*(c.denominator for c in s.coeffs[:count])) for s in hs]
+    rems = [[c.numerator * (d // c.denominator) for c in s.coeffs[:count]]
+            for s, d in zip(hs, dens)]
+    fpow = [1] + [0] * (count - 1)  # f^m; entries below q^m are stale
+    out = []
     for m in range(count):
-        c = rem[m]
-        out.append(c)
-        if c:
-            for i in range(m, prec):
-                if fpow[i]:
+        row = []
+        for rem, den in zip(rems, dens):
+            c = rem[m]
+            row.append(Fraction(c, den))
+            if c:
+                for i in range(m + 1, count):
                     rem[i] -= c * fpow[i]
-        if m + 1 < count:
-            nxt = [Fraction(0)] * prec
-            for i in range(m, prec):
-                a = fpow[i]
-                if a:
-                    for j in range(1, prec - i):
-                        if fc[j]:
-                            nxt[i + j] += a * fc[j]
-            fpow = nxt
+        out.append(tuple(row))
+        # f^(m+1) = f^m * f in place, top down so f^m is read before it is
+        # overwritten.
+        for i in range(count - 1, m, -1):
+            acc = fpow[i - 1]
+            for j, c in tail:
+                if i - j < m:
+                    break
+                acc += c * fpow[i - j]
+            fpow[i] = acc
     return out
 
 
@@ -133,18 +146,15 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     if count < 1:
         raise ValueError("count must be >= 1")
     curves.run_canaries(config)
-    # One q-order is consumed per output order; the factor two leaves enough
-    # slack that a working-precision doubling reproduces the same rows.
-    prec = 2 * count + 8
+    # [f^m]H needs q^0..q^m only; f's q^1 term is read to check f = q + O(q^2).
+    prec = max(count, 2)
     w, wp = _series_pair(config, prec)
     f = curves.uniformizer_series(config, prec)
     scaled = config.lam * w
-    b_list = reexpand(scaled, f, count)
-    a_list = reexpand(scaled * wp, f, count)
     rows = []
-    for n in range(count):
-        a = config.sign_a * a_list[n]
-        b = config.sign_b * b_list[n]
+    for n, (b, a) in enumerate(reexpand(scaled, f, count, scaled * wp)):
+        a = config.sign_a * a
+        b = config.sign_b * b
         if b == 0:
             p_n = q_n = None
         else:

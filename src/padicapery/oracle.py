@@ -28,7 +28,6 @@ to the weaker of the two exponents.  The oracle raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -197,7 +196,3 @@ def catalan_2adic_oracle(target_bits: int = 40) -> PadicValue:
     """The 2-adic Catalan constant: the limit of E_{2k}/2 as 2k -> -2."""
     return _oracle(l_chi4_neg, 2, 1, target_bits)
 
-
-def oracle_log_radius(value: PadicValue) -> float:
-    """Natural log of the trust radius p**agreement_exponent."""
-    return value.agreement_exponent * math.log(value.p)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from padicapery import cli
 from padicapery.cli import main
+from padicapery.oracle import OracleInconsistency
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +51,21 @@ def test_series_p_validation():
     with pytest.raises(SystemExit) as err:
         main(["series", "--form", "f", "--weight", "1", "--p", "2", "--prec", "3"])
     assert err.value.code == 2
+
+
+def test_series_prec_is_capped(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a capped request must not compute anything")
+
+    monkeypatch.setattr(cli, "series_evil", refuse)
+    monkeypatch.setattr(cli.curves, "uniformizer_series", refuse)
+    for argv in (
+        ["series", "--form", "evil", "--weight", "4", "--p", "2", "--prec", str(10**11)],
+        ["series", "--case", "zeta-p2", "--prec", "65"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_sequences_csv(capsys):
@@ -133,6 +150,13 @@ def test_certify_window_rows(capsys):
     assert [row["n"] for row in rows[:-1]] == [4, 5, 6]
 
 
+def test_certify_window_without_two_rows_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["certify", "--case", "zeta-p2", "--bits", "20", "--window", "0", "0"])
+    assert err.value.code == 2
+    assert "fewer than two usable rows" in capsys.readouterr().err
+
+
 def test_certify_p5_uncertified_rows(capsys):
     code, out, _ = run_cli(capsys, "certify", "--case", "zeta-p5")
     assert code == 0
@@ -160,6 +184,17 @@ def test_oracle_json(capsys):
     assert payload["digits"][:4] == [[-1, 1], [0, 1], [2, 1], [3, 1]]
     assert payload["representative"]["den"].isdigit()
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+
+def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
+    def inconsistent(*args):
+        raise OracleInconsistency("strategies disagree")
+
+    monkeypatch.setattr(cli, "zeta_p_oracle", inconsistent)
+    code, out, err = run_cli(capsys, "oracle", "--target", "zeta-p2", "--bits", "20")
+    assert code == 1
+    assert out == ""
+    assert err == "oracle inconsistency: strategies disagree\n"
 
 
 def test_oracle_rejects_catalan_with_n():

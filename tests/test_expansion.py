@@ -1,13 +1,20 @@
 """Reexpansion in the uniformizer and the published sequence tables."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padicapery.cli import main
 from padicapery.curves import catalog, uniformizer_series
-from padicapery.eisenstein import series_e_prime, series_e_star
+from padicapery.eisenstein import (
+    series_e_prime,
+    series_e_star,
+    series_f,
+    series_f_prime,
+)
 from padicapery.exactnum import lcm_upto
 from padicapery.expansion import (
     IntegralityError,
@@ -43,7 +50,7 @@ CATALAN_B = [-1, -4, 28, -272, 3036, -36624, 464368]
 def test_reexpand_identity_map():
     h = QSeries([Fraction(3), Fraction(5), Fraction(7), Fraction(11)])
     f = QSeries.gen(4)
-    assert reexpand(h, f, 4) == [3, 5, 7, 11]
+    assert reexpand(h, f, 4) == [(3,), (5,), (7,), (11,)]
 
 
 def test_reexpand_requires_normalized_uniformizer():
@@ -54,14 +61,21 @@ def test_reexpand_requires_normalized_uniformizer():
         reexpand(h, QSeries([1, 1, 0, 0]), 3)
 
 
+def test_reexpand_requires_integral_uniformizer():
+    h = QSeries.one(4)
+    with pytest.raises(ValueError, match="integer"):
+        reexpand(h, QSeries([0, 1, Fraction(1, 2), 0]), 3)
+    with pytest.raises(ValueError, match="integer"):
+        reexpand(h, QSeries([0, 1, 0, Fraction(-3, 7)]), 4)
+
+
 def test_reexpand_inverts_composition():
     """Composing the result with f must reproduce h."""
     f = QSeries([0, 1, -3, 2, 5, -1, 0, 4])
     h = QSeries([2, 0, 1, 1, -4, 7, 3, -2])
-    coeffs = reexpand(h, f, 8)
     rebuilt = QSeries.zero(8)
     fpow = QSeries.one(8)
-    for c in coeffs:
+    for (c,) in reexpand(h, f, 8):
         rebuilt = rebuilt + c * fpow
         fpow = fpow * f
     assert rebuilt == h
@@ -75,10 +89,59 @@ def test_reexpand_is_linear_in_eta(eta):
     f = uniformizer_series(config, prec)
     w = config.lam * series_e_star(2, 2, prec)
     wp = series_e_prime(2, 2, prec)
-    combined = reexpand(w * wp + eta * w, f, 6)
-    a_part = reexpand(w * wp, f, 6)
-    b_part = reexpand(w, f, 6)
-    assert combined == [a + eta * b for a, b in zip(a_part, b_part)]
+    rows = reexpand(w * wp + eta * w, f, 6, w * wp, w)
+    assert all(combined == a + eta * b for combined, a, b in rows)
+
+
+ALL_CASES = (
+    ("zeta-p2", 1),
+    ("zeta-p2", 2),
+    ("zeta-p3", 1),
+    ("zeta-p5", 1),
+    ("catalan-p2", 1),
+)
+
+# sha256 of `sequences --case FAMILY -k K -n 96 --format csv` stdout, recorded
+# with the Fraction-based re-expansion at working precision 2n + 8.
+SEQUENCES_N96_SHA256 = {
+    ("zeta-p2", 1): "d296926ace1d919361b24850aa8b273b7a1eec64153823b3964b3dfd974f07db",
+    ("zeta-p2", 2): "5234e757eb5807500ab2dfa5b0e3f84c55d1e45370a6fbf0066cb150c4c89ed8",
+    ("zeta-p3", 1): "7ab1046fe015d8abb34d812e675adee41b748e57a2cd7da88113adb1a1171766",
+    ("zeta-p5", 1): "2cfe50b900538941522401f79f3045966b59a154baa25ada00bf5f8070093085",
+    ("catalan-p2", 1): "bae6977210ae4bc5fc5c92040465b2a449ffcd4a99b10d249d66011ee38c8a60",
+}
+
+
+@pytest.mark.parametrize("family,k", ALL_CASES)
+def test_sequences_bytes_match_reference(family, k, monkeypatch, capsys):
+    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "96")
+    argv = ["sequences", "--case", family, "-k", str(k), "-n", "96", "--format", "csv"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SEQUENCES_N96_SHA256[family, k]
+
+
+@pytest.mark.parametrize("family,k", ALL_CASES)
+def test_tables_recompose_to_weight_series(family, k):
+    """sum_m c_m f^m, computed in plain series arithmetic, reproduces both
+    H = lam*w (b-list) and H = lam*w*w' (a-list) to precision 64."""
+    prec = 64
+    config = catalog(family, k)
+    if family == "catalan-p2":
+        w, wp = series_f(1, prec), series_f_prime(prec)
+    else:
+        w = series_e_star(config.p, config.weight, prec)
+        wp = series_e_prime(config.p, config.weight, prec)
+    f = uniformizer_series(config, prec)
+    table = sequences(config, prec)
+    rebuilt_b = rebuilt_a = QSeries.zero(prec)
+    fpow = QSeries.one(prec)
+    for row in table.rows:
+        rebuilt_b = rebuilt_b + config.sign_b * row.b * fpow
+        rebuilt_a = rebuilt_a + config.sign_a * row.a * fpow
+        fpow = fpow * f
+    assert rebuilt_b == config.lam * w
+    assert rebuilt_a == config.lam * w * wp
 
 
 def test_zeta_p2_published_table():
@@ -115,19 +178,13 @@ def test_ratio_uses_doubled_numerator():
 def test_tables_stable_under_extra_terms():
     """Computing more rows must not change earlier rows."""
     for family in ("zeta-p2", "catalan-p2"):
-        short = sequences(catalog(family), 6)
         long = sequences(catalog(family), 12)
-        assert short.rows == long.rows[:6]
+        for count in (1, 6):
+            assert sequences(catalog(family), count).rows == long.rows[:count]
 
 
 def test_integrality_all_cases():
-    for family, k in (
-        ("zeta-p2", 1),
-        ("zeta-p2", 2),
-        ("zeta-p3", 1),
-        ("zeta-p5", 1),
-        ("catalan-p2", 1),
-    ):
+    for family, k in ALL_CASES:
         config = catalog(family, k)
         table = sequences(config, 14)
         report = integrality_report(table, config)
