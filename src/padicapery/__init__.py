@@ -20,10 +20,9 @@ from .diophantine import (
 from .exactnum import INFINITY, lcm_upto, log_size, padic_digits, vp
 from .expansion import (
     IntegralityError,
-    IntegralityReport,
     SequenceRow,
     SequenceTable,
-    integrality_report,
+    check_integrality,
     max_terms_cap,
     reexpand,
     sequences,
@@ -54,7 +53,6 @@ __all__ = [
     "INFINITY",
     "IdentityError",
     "IntegralityError",
-    "IntegralityReport",
     "OracleInconsistency",
     "PadicValue",
     "ProductRecipe",
@@ -66,10 +64,10 @@ __all__ = [
     "catalan_recurrence",
     "catalog",
     "check_height_bound",
+    "check_integrality",
     "criterion_check",
     "expand_product",
     "fit_recurrence",
-    "integrality_report",
     "lcm_upto",
     "log_size",
     "max_terms_cap",

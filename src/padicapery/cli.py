@@ -10,8 +10,8 @@ Subcommands:
   against the p-adic oracle and emit JSONL certificates plus a summary.
 * ``oracle``: evaluate a p-adic limit directly and print its certified
   representative and leading digits.
-* ``recurrence``: verify the built-in Catalan recurrence against freshly
-  computed tables, or refit it from scratch.
+* ``recurrence``: verify a case's built-in recurrence (the Catalan case
+  has one) against freshly computed tables, or refit it from scratch.
 
 All JSON output is emitted with sorted keys so repeated runs are byte
 identical.  Big integers are serialized as decimal strings; real numbers
@@ -31,6 +31,7 @@ from .diophantine import (
     DEFAULT_THETA_REQUIRED,
     DEFAULT_WINDOW,
     criterion_check,
+    sign_probes,
 )
 from .eisenstein import (
     series_e,
@@ -43,7 +44,12 @@ from .eisenstein import (
 from .expansion import max_terms_cap, sequences
 from .oracle import OracleInconsistency, catalan_2adic_oracle, zeta_p_oracle
 
-_ORACLE_TARGETS = ("zeta-p2", "zeta-p3", "catalan")
+_ORACLE_FAMILIES = {
+    family.oracle: family for family in curves.FAMILY_TABLE.values() if family.oracle
+}
+_RECURRENCE_CASES = tuple(
+    name for name, family in curves.FAMILY_TABLE.items() if family.recurrence is not None
+)
 _FORMS = ("e", "e-star", "e-prime", "evil", "f", "f-prime")
 
 
@@ -156,12 +162,11 @@ def _cmd_sequences(parser, args) -> int:
     return 0
 
 
-def _case_oracle(config, bits: int):
-    if config.family == "catalan-p2":
+def _evaluate_oracle(family: curves.Family, n: int, bits: int):
+    """The family's p-adic limit at index n, through its oracle target."""
+    if family.oracle == "catalan":
         return catalan_2adic_oracle(bits)
-    if config.p in (2, 3):
-        return zeta_p_oracle(config.p, config.k, bits)
-    return None
+    return zeta_p_oracle(family.p, n, bits)
 
 
 def _cmd_certify(parser, args) -> int:
@@ -174,8 +179,13 @@ def _cmd_certify(parser, args) -> int:
         parser.error("--bits must be positive")
     config = _resolve_case(parser, args.case, args.k)
     table = sequences(config, count)
-    eta = _case_oracle(config, args.bits)
+    eta = None
     try:
+        if config.family.oracle is not None:
+            # A window without two usable rows is a usage error: find out
+            # before paying for the oracle.
+            sign_probes(table, window)
+            eta = _evaluate_oracle(config.family, config.k, args.bits)
         report = criterion_check(
             config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
         )
@@ -226,15 +236,12 @@ def _cmd_oracle(parser, args) -> int:
         parser.error("--bits must be positive")
     if args.digits < 1:
         parser.error("--digits must be positive")
-    if args.target == "catalan":
-        if args.n != 1:
-            parser.error("the Catalan oracle is defined for n = 1 only")
-        value = catalan_2adic_oracle(args.bits)
-    else:
-        p = 2 if args.target == "zeta-p2" else 3
-        if args.n < 1:
-            parser.error("-n must be positive")
-        value = zeta_p_oracle(p, args.n, args.bits)
+    family = _ORACLE_FAMILIES[args.target]
+    if family.fixed_k and args.n != 1:
+        parser.error("the Catalan oracle is defined for n = 1 only")
+    if args.n < 1:
+        parser.error("-n must be positive")
+    value = _evaluate_oracle(family, args.n, args.bits)
     payload = {
         "agreement_exponent": value.agreement_exponent,
         "digits": [[exponent, digit] for exponent, digit in value.digits(args.digits)],
@@ -255,7 +262,7 @@ def _cmd_recurrence(parser, args) -> int:
         parser.error("-n must be at least 6 for a meaningful check")
     config = _resolve_case(parser, args.case, 1)
     table = sequences(config, args.count)
-    spec = recurrence.catalan_recurrence()
+    spec = config.family.recurrence
     top = args.count - 2
     if args.action == "verify":
         violations_b = recurrence.verify_recurrence(spec, table.b_list(), 1, top)
@@ -272,7 +279,7 @@ def _cmd_recurrence(parser, args) -> int:
         }
         code = 0 if not violations_a and not violations_b else 1
     else:
-        fitted = recurrence.fit_recurrence(table.b_list(), 2, 2)
+        fitted = recurrence.fit_recurrence(table.b_list(), spec.order, spec.degree)
         payload = {
             "case": config.case_id,
             "coeff_polys": [list(poly) for poly in fitted.coeff_polys],
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=_cmd_certify)
 
     p_oracle = sub.add_parser("oracle", help="evaluate a p-adic limit")
-    p_oracle.add_argument("--target", choices=_ORACLE_TARGETS, required=True)
+    p_oracle.add_argument("--target", choices=tuple(_ORACLE_FAMILIES), required=True)
     p_oracle.add_argument("-n", type=int, default=1)
     p_oracle.add_argument("--bits", type=int, default=40)
     p_oracle.add_argument("--digits", type=int, default=10)
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recurrence", help="verify or refit the recurrence")
     p_rec.add_argument("action", choices=("verify", "fit"))
-    p_rec.add_argument("--case", choices=("catalan-p2",), default="catalan-p2")
+    p_rec.add_argument("--case", choices=_RECURRENCE_CASES, default=_RECURRENCE_CASES[0])
     p_rec.add_argument("-n", "--count", type=int, default=26)
     p_rec.add_argument("-o", "--output")
     p_rec.set_defaults(func=_cmd_recurrence)

@@ -1,29 +1,37 @@
 """Catalog of the genus-zero quotient cases and their uniformizers.
 
-Each case pins down: the prime, the eta-like product expansion of the local
-uniformizer f = q + O(q^2), the weight data of the series pair that gets
-re-expanded in f, the normalization multiplier, the (v, e, D) exponents that
-feed the closed-form witness exponent, and the sign flags that reconcile the
-re-expansion output with the published sequence tables.
+Each case family is one frozen record: the prime, the eta-like product
+expansion of the local uniformizer f = q + O(q^2), the builders of the weight
+series and its antiderivative that get re-expanded in f, how the weight grows
+with the index k, the (v, e) exponents that feed the closed-form witness
+exponent, the sign that reconciles the re-expansion output with the published
+b-list, the canaries, the recurrence and the oracle.  A case is a family at one
+index k.
 
 Two exact q-expansion identities act as canaries for the whole catalog: the
-logarithmic derivative theta(f)/f must equal a known multiple of the weight-2
-series, and for the 2-adic zeta case the sixth power of that multiple's series
-must satisfy the classical genus-zero relation against (1 + 2^6 f)^3 / f.  A
-failure of either aborts the pipeline; nothing downstream is trustworthy then.
+logarithmic derivative theta(f)/f must equal a known power of a multiple of
+the weight series, and for the 2-adic zeta case the sixth power of that
+multiple's series must satisfy the classical genus-zero relation against
+(1 + 2^6 f)^3 / f.  A failure of either aborts the pipeline; nothing
+downstream is trustworthy then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .eisenstein import l_chi4_neg, series_e_star, series_f, zeta_star
+from . import eisenstein
+from .eisenstein import series_e_star, series_f
 from .qseries import ProductRecipe, QSeries, expand_product
+from .recurrence import RecurrenceSpec, catalan_recurrence
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TABLE",
     "CaseConfig",
+    "Family",
     "IdentityError",
     "catalog",
     "uniformizer_series",
@@ -32,138 +40,137 @@ __all__ = [
     "run_canaries",
 ]
 
-FAMILIES = ("zeta-p2", "zeta-p3", "zeta-p5", "catalan-p2")
-
 
 class IdentityError(AssertionError):
     """An internal q-expansion identity failed: abort, the build is wrong."""
 
 
 @dataclass(frozen=True)
-class CaseConfig:
-    case_id: str
-    family: str
+class Family:
+    """Everything one case family fixes.
+
+    The defaults describe the zeta families: the p-deprived series E*_2k of
+    weight 2k, its antiderivative, and theta(f)/f = mu E*_2.  The series
+    builders take (p, weight, prec) and look their eisenstein function up when
+    called; the member of weight `weight_step` (k = 1) is the canary's series.
+    """
+
+    name: str
     p: int
-    k: int
-    weight: int                 # weight of the series that produces the b-list
-    recipe: ProductRecipe
-    lam: Fraction               # normalization multiplier for the series pair
+    recipe: ProductRecipe       # the uniformizer f = q + O(q^2)
     v: Fraction                 # valuation growth exponent
     e: Fraction                 # Archimedean growth exponent
-    D: int                      # denominator-clearing power
-    sign_a: int
-    sign_b: int
+    oracle: str | None          # the CLI's oracle target for the limit, if any
+    sign_b: int = 1             # published b-list = sign_b * [f^n](lam * w)
+    weight_step: int = 2        # the weight series has weight weight_step * k
+    fixed_k: bool = False       # the family has no weight parameter: k = 1
+    series: Callable[[int, int, int], QSeries] = (
+        lambda p, weight, prec: series_e_star(p, weight, prec)
+    )
+    antiderivative: Callable[[int, int, int], QSeries] = (
+        lambda p, weight, prec: eisenstein.series_e_prime(p, weight, prec)
+    )
+    canary_power: int = 1       # r in theta(f)/f = (mu * w)^r
+    elliptic_canary: bool = False
+    recurrence: RecurrenceSpec | None = None
 
 
-_RECIPES = {
+_TABLE = (
     # Delta(2 tau)/Delta(tau) = q prod (1+q^n)^24
-    "zeta-p2": ProductRecipe(1, ((1, 1, 24),)),
+    Family(
+        "zeta-p2", 2, ProductRecipe(1, ((1, 1, 24),)), Fraction(12), Fraction(6),
+        oracle="zeta-p2", elliptic_canary=True,
+    ),
     # (Delta(3 tau)/Delta(tau))^(1/2) = q prod ((1-q^{3n})/(1-q^n))^12
-    "zeta-p3": ProductRecipe(1, ((-1, 3, 12), (-1, 1, -12))),
+    Family(
+        "zeta-p3", 3, ProductRecipe(1, ((-1, 3, 12), (-1, 1, -12))),
+        Fraction(6), Fraction(3), oracle="zeta-p3",
+    ),
     # (Delta(5 tau)/Delta(tau))^(1/4) = q prod ((1-q^{5n})/(1-q^n))^6
-    "zeta-p5": ProductRecipe(1, ((-1, 5, 6), (-1, 1, -6))),
-    # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8
-    "catalan-p2": ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
-}
+    Family(
+        "zeta-p5", 5, ProductRecipe(1, ((-1, 5, 6), (-1, 1, -6))),
+        Fraction(3), Fraction(3, 2), oracle=None,
+    ),
+    # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8.  The
+    # weight series F_1 has weight one, so the log-derivative identity is
+    # against its square.  The published table negates the b-list: its b_0
+    # is -1 while the normalized constant term is +1.
+    Family(
+        "catalan-p2", 2, ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
+        Fraction(8), Fraction(4), oracle="catalan",
+        sign_b=-1,
+        weight_step=1,
+        fixed_k=True,
+        series=lambda p, weight, prec: series_f(weight, prec),
+        antiderivative=lambda p, weight, prec: eisenstein.series_f_prime(prec),
+        canary_power=2,
+        recurrence=catalan_recurrence(),
+    ),
+)
 
-_PRIMES = {"zeta-p2": 2, "zeta-p3": 3, "zeta-p5": 5, "catalan-p2": 2}
+FAMILY_TABLE = {family.name: family for family in _TABLE}
+FAMILIES = tuple(FAMILY_TABLE)
 
-# (v, e): valuation and size growth exponents; D comes per weight below.
-_GROWTH = {
-    "zeta-p2": (Fraction(12), Fraction(6)),
-    "zeta-p3": (Fraction(6), Fraction(3)),
-    "zeta-p5": (Fraction(3), Fraction(3, 2)),
-    "catalan-p2": (Fraction(8), Fraction(4)),
-}
 
-# Sign flags fixed once against the published n = 1, 2 rows: the zeta tables
-# list the re-expansion coefficients as-is, the Catalan table negates the
-# b-list (its published b_0 is -1 while the normalized constant term is +1).
-_SIGNS = {
-    "zeta-p2": (1, 1),
-    "zeta-p3": (1, 1),
-    "zeta-p5": (1, 1),
-    "catalan-p2": (1, -1),
-}
+@dataclass(frozen=True)
+class CaseConfig:
+    case_id: str
+    family: Family
+    k: int
+    weight: int                 # weight of the series that produces the b-list
+    lam: Fraction               # normalization multiplier for the series pair
+    D: int                      # denominator-clearing power
 
 
 def catalog(family: str, k: int = 1) -> CaseConfig:
-    """Build the configuration for one case; k indexes the zeta weight 2k."""
-    if family not in FAMILIES:
+    """Build the configuration for one case; k indexes the weight."""
+    if family not in FAMILY_TABLE:
         raise ValueError(f"unknown case family {family!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = _PRIMES[family]
-    v, e = _GROWTH[family]
-    sign_a, sign_b = _SIGNS[family]
-    if family == "catalan-p2":
-        if k != 1:
-            raise ValueError("the Catalan case has no weight parameter")
-        weight, D = 1, 2
-        const = l_chi4_neg(0) / 2
-        case_id = family
-    else:
-        weight, D = 2 * k, 2 * k + 1
-        const = zeta_star(p, 2 * k) / 2
-        case_id = f"{family}:k={k}"
-    # The multiplier clears the constant term's denominator, which both
-    # reproduces the published tables (their constants are 1/24, 1/12, 1/4
-    # with numerator +-1) and keeps every b_n integral at higher weights,
-    # where 2/const would not be an integer.
-    lam = Fraction(const.denominator)
+    record = FAMILY_TABLE[family]
+    if record.fixed_k and k != 1:
+        raise ValueError("the Catalan case has no weight parameter")
+    weight = record.weight_step * k
+    # The multiplier clears the denominator of the weight series' constant
+    # term, which both reproduces the published tables (their constants are
+    # 1/24, 1/12, 1/4 with numerator +-1) and keeps every b_n integral at
+    # higher weights, where 2/const would not be an integer.
+    const = record.series(record.p, weight, 1)[0]
     return CaseConfig(
-        case_id=case_id,
-        family=family,
-        p=p,
+        case_id=family if record.fixed_k else f"{family}:k={k}",
+        family=record,
         k=k,
         weight=weight,
-        recipe=_RECIPES[family],
-        lam=lam,
-        v=v,
-        e=e,
-        D=D,
-        sign_a=sign_a,
-        sign_b=sign_b,
+        lam=Fraction(const.denominator),
+        D=weight + 1,
     )
 
 
 def uniformizer_series(config: CaseConfig, prec: int) -> QSeries:
     """q-expansion of the case uniformizer, f = q + O(q^2) with integer
     coefficients."""
-    return expand_product(config.recipe, prec)
-
-
-def _weight_two_series(config: CaseConfig, prec: int) -> QSeries:
-    if config.family == "catalan-p2":
-        return series_f(1, prec)
-    return series_e_star(config.p, 2, prec)
+    return expand_product(config.family.recipe, prec)
 
 
 def check_log_derivative(config: CaseConfig, prec: int = 16) -> Fraction:
-    """Verify the logarithmic-derivative identity for f and return its
-    constant.
+    """Verify theta(f)/f = (mu * w)^r for the family's k = 1 weight series w
+    and return mu.
 
-    For the zeta families theta(f)/f equals mu * E*_2 with mu = 24, 12, 6 for
+    For the zeta families r = 1 and w = E*_2, with mu = 24, 12, 6 for
     p = 2, 3, 5.  The Catalan weight series has weight one, so the identity
-    there is against its square: theta(z)/z = (mu F_1)^2 with mu = 4.
+    there is against its square: r = 2 and mu = 4.
     """
+    record = config.family
     f = uniformizer_series(config, prec + 1)
     lhs = f.theta().shift_down(1) * f.shift_down(1).invert()
-    w = _weight_two_series(config, prec)
-    if config.family == "catalan-p2":
-        mu_sq = lhs[0] / w[0] ** 2
-        root = _integer_nth_root(mu_sq.numerator, 2)
-        if root is None or mu_sq.denominator != 1 or (root * w) ** 2 != lhs:
-            raise IdentityError(
-                "theta(z)/z is not the square of a multiple of the weight-1 "
-                "series for catalan-p2"
-            )
-        return Fraction(root)
-    mu = lhs[0] / w[0]
-    if mu * w != lhs:
+    w = record.series(record.p, record.weight_step, prec)
+    r = record.canary_power
+    mu = _rational_root(lhs[0] / w[0] ** r, r)
+    if mu is None or (mu * w) ** r != lhs:
         raise IdentityError(
-            f"theta(f)/f is not proportional to the weight-2 series for "
-            f"{config.case_id}"
+            f"theta(f)/f is not the power {r} of a multiple of the weight-"
+            f"{record.weight_step} series for {config.case_id}"
         )
     return mu
 
@@ -181,6 +188,15 @@ def _integer_nth_root(n: int, k: int) -> int | None:
     return None
 
 
+def _rational_root(x: Fraction, k: int) -> Fraction | None:
+    """Exact nonnegative k-th root of a nonnegative rational, or None."""
+    num = _integer_nth_root(x.numerator, k)
+    den = _integer_nth_root(x.denominator, k)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)
+
+
 def check_elliptic_identity(prec: int = 16) -> Fraction:
     """Genus-zero relation for the 2-adic zeta case.
 
@@ -189,8 +205,7 @@ def check_elliptic_identity(prec: int = 16) -> Fraction:
     Both sides are multiplied by f, so the comparison happens between honest
     power series: Etilde^6 * (f/Delta) = (1 + 64 f)^3.  Returns mu (= 24).
     """
-    cfg = catalog("zeta-p2")
-    f = uniformizer_series(cfg, prec)
+    f = uniformizer_series(catalog("zeta-p2"), prec)
     # f/Delta = prod ((1+q^n)/(1-q^n))^24, constant term 1
     ratio = expand_product(ProductRecipe(0, ((1, 1, 24), (-1, 1, -24))), prec)
     estar6 = series_e_star(2, 2, prec) ** 6
@@ -199,16 +214,15 @@ def check_elliptic_identity(prec: int = 16) -> Fraction:
     scale = rhs[0] / lhs[0]
     if lhs * scale != rhs:
         raise IdentityError("elliptic identity fails for zeta-p2")
-    num = _integer_nth_root(scale.numerator, 6)
-    den = _integer_nth_root(scale.denominator, 6)
-    if num is None or den is None:
+    mu = _rational_root(scale, 6)
+    if mu is None:
         raise IdentityError("elliptic identity scale is not a sixth power")
-    return Fraction(num, den)
+    return mu
 
 
 def run_canaries(config: CaseConfig, prec: int = 16) -> None:
     """The fast identity checks every pipeline run performs before trusting
     its own series plumbing."""
     check_log_derivative(config, prec)
-    if config.family == "zeta-p2":
+    if config.family.elliptic_canary:
         check_elliptic_identity(prec)

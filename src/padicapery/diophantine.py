@@ -39,8 +39,9 @@ _GUARD = 1e-6
 
 def theta_closed(config: CaseConfig) -> float:
     """Asymptotic irrationality exponent v*log(p) / (e*log(p) + D)."""
-    log_p = math.log(config.p)
-    return config.v * log_p / (config.e * log_p + config.D)
+    family = config.family
+    log_p = math.log(family.p)
+    return family.v * log_p / (family.e * log_p + config.D)
 
 
 def slope_empirical(
@@ -104,15 +105,9 @@ class CertificationReport:
         return sum(1 for cert in self.certificates if cert.certified)
 
 
-def resolve_sign(
-    table: SequenceTable, eta: PadicValue, window: tuple[int, int]
-) -> int:
-    """Choose the sign s with vp(eta - s * p_n/q_n) growing along the window.
-
-    The wrong sign leaves the valuation pinned near vp(2 * eta); the right
-    one tracks the table's convergence.  Decided on the first two usable
-    rows of the window.
-    """
+def sign_probes(table: SequenceTable, window: tuple[int, int]) -> list[int]:
+    """The first two usable (non-degenerate) rows of the window, on which the
+    sign of the limit is decided; ValueError if the window has fewer."""
     probes: list[int] = []
     for n in range(window[0], min(window[1] + 1, table.count)):
         if not table.rows[n].degenerate:
@@ -121,6 +116,19 @@ def resolve_sign(
             break
     if len(probes) < 2:
         raise ValueError("window has fewer than two usable rows")
+    return probes
+
+
+def resolve_sign(
+    table: SequenceTable, eta: PadicValue, window: tuple[int, int]
+) -> int:
+    """Choose the sign s with vp(eta - s * p_n/q_n) growing along the window.
+
+    The wrong sign leaves the valuation pinned near vp(2 * eta); the right
+    one tracks the table's convergence.  Decided on the rows of
+    ``sign_probes``.
+    """
+    probes = sign_probes(table, window)
     scores = {}
     for sign in (1, -1):
         gaps = [vp(eta.representative - sign * table.ratio(n), eta.p) for n in probes]
@@ -143,9 +151,10 @@ def criterion_check(
     and the verdict falls back to the closed-form exponent alone.
     """
     asymptotic = theta_closed(config)
+    p = config.family.p
     sign = None
     if eta is not None:
-        if eta.p != config.p:
+        if eta.p != p:
             raise ValueError("oracle prime does not match the case")
         sign = resolve_sign(table, eta, window)
     certificates = []
@@ -176,12 +185,12 @@ def criterion_check(
         certified = gap < eta.agreement_exponent
         clamped = int(min(gap, eta.agreement_exponent))
         if log_max > 0:
-            implied = clamped * math.log(config.p) / log_max
+            implied = clamped * math.log(p) / log_max
         else:
             implied = math.inf if clamped > 0 else 0.0
         passed = None
         if certified:
-            passed = clamped * math.log(config.p) >= (
+            passed = clamped * math.log(p) >= (
                 theta_required - _GUARD
             ) * log_max
         certificates.append(

@@ -3,8 +3,8 @@ the uniformizer, and the approximant sequence tables it produces.
 
 Writing H = sum (A_n + eta B_n) f^n, the B-list is the re-expansion of the
 normalized weight series alone and the A-list that of its product with the
-antiderivative; the published tables are these lists up to per-case sign
-flags.  The quantity approximated is the reduced ratio 2 a_n / b_n.
+antiderivative; the published tables are these lists up to the per-family
+sign of the b-list.  The quantity approximated is the reduced ratio 2 a_n / b_n.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import curves, eisenstein
+from . import curves
 from .exactnum import lcm_upto
 from .qseries import QSeries
 
@@ -24,7 +24,7 @@ __all__ = [
     "SequenceTable",
     "sequences",
     "IntegralityError",
-    "integrality_report",
+    "check_integrality",
     "max_terms_cap",
 ]
 
@@ -109,7 +109,6 @@ class SequenceRow:
 class SequenceTable:
     case_id: str
     count: int
-    sign_a: int
     sign_b: int
     rows: tuple[SequenceRow, ...]
 
@@ -126,16 +125,6 @@ class SequenceTable:
         return Fraction(row.p_n, row.q_n)
 
 
-def _series_pair(config: curves.CaseConfig, prec: int) -> tuple[QSeries, QSeries]:
-    if config.family == "catalan-p2":
-        w = eisenstein.series_f(1, prec)
-        wp = eisenstein.series_f_prime(prec)
-    else:
-        w = eisenstein.series_e_star(config.p, config.weight, prec)
-        wp = eisenstein.series_e_prime(config.p, config.weight, prec)
-    return w, wp
-
-
 def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     """Compute the first `count` rows (n = 0 .. count-1) of the approximant
     table for one case.
@@ -148,13 +137,14 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     curves.run_canaries(config)
     # [f^m]H needs q^0..q^m only; f's q^1 term is read to check f = q + O(q^2).
     prec = max(count, 2)
-    w, wp = _series_pair(config, prec)
+    family = config.family
+    w = family.series(family.p, config.weight, prec)
+    wp = family.antiderivative(family.p, config.weight, prec)
     f = curves.uniformizer_series(config, prec)
     scaled = config.lam * w
     rows = []
     for n, (b, a) in enumerate(reexpand(scaled, f, count, scaled * wp)):
-        a = config.sign_a * a
-        b = config.sign_b * b
+        b = family.sign_b * b
         if b == 0:
             p_n = q_n = None
         else:
@@ -164,8 +154,7 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     return SequenceTable(
         case_id=config.case_id,
         count=count,
-        sign_a=config.sign_a,
-        sign_b=config.sign_b,
+        sign_b=family.sign_b,
         rows=tuple(rows),
     )
 
@@ -174,29 +163,9 @@ class IntegralityError(AssertionError):
     """A row violates the integrality the construction guarantees."""
 
 
-@dataclass(frozen=True)
-class IntegralityWitness:
-    n: int
-    a_denominator: int
-    clearing_power: int   # lcm(1..max(n,1)) ** D, which must absorb it
-
-
-@dataclass(frozen=True)
-class IntegralityReport:
-    case_id: str
-    D: int
-    witnesses: tuple[IntegralityWitness, ...]
-
-
-def integrality_report(
-    table: SequenceTable, config: curves.CaseConfig
-) -> IntegralityReport:
-    """Assert b_n in Z and lcm(1..n)^D * a_n in Z for every row.
-
-    Returns the per-row denominators together with the clearing power that
-    witnesses the divisibility; any violation is a hard failure.
-    """
-    witnesses = []
+def check_integrality(table: SequenceTable, config: curves.CaseConfig) -> None:
+    """Assert b_n in Z and lcm(1..n)^D * a_n in Z for every row; any
+    violation raises IntegralityError."""
     for row in table.rows:
         if row.b.denominator != 1:
             raise IntegralityError(
@@ -208,13 +177,3 @@ def integrality_report(
                 f"{table.case_id}: lcm^{config.D} * a_{row.n} is not an "
                 f"integer (a_{row.n} = {row.a})"
             )
-        witnesses.append(
-            IntegralityWitness(
-                n=row.n,
-                a_denominator=row.a.denominator,
-                clearing_power=clearing,
-            )
-        )
-    return IntegralityReport(
-        case_id=table.case_id, D=config.D, witnesses=tuple(witnesses)
-    )

@@ -146,21 +146,6 @@ class QSeries:
         """q d/dq: multiplies the n-th coefficient by n."""
         return QSeries([n * c for n, c in enumerate(self.coeffs)])
 
-    def theta_inverse_power(self, m: int) -> "QSeries":
-        """Formal theta^{-m}: divides the n-th coefficient by n**m.
-
-        Only defined on series with zero constant term (the constant is kept
-        at zero); m must be >= 1.
-        """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if self.coeffs[0] != 0:
-            raise ValueError("theta_inverse_power needs a zero constant term")
-        return QSeries(
-            [Fraction(0)]
-            + [c / Fraction(n) ** m for n, c in enumerate(self.coeffs) if n]
-        )
-
     def substitute_q_power(self, k: int) -> "QSeries":
         """q -> q**k at unchanged precision (used for level raising)."""
         if k < 1:
@@ -179,11 +164,6 @@ class QSeries:
         if any(self.coeffs[:k]):
             raise ValueError("series is not divisible by q**%d" % k)
         return QSeries(self.coeffs[k:])
-
-    def truncate(self, prec: int) -> "QSeries":
-        if prec > self.prec:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[:prec])
 
 
 @dataclass(frozen=True)

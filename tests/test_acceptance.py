@@ -20,7 +20,7 @@ from padicapery.curves import (
 from padicapery.diophantine import slope_empirical, theta_closed
 from padicapery.eisenstein import series_e_prime, series_evil, series_f, lambert_chi_series
 from padicapery.exactnum import vp
-from padicapery.expansion import integrality_report, sequences
+from padicapery.expansion import check_integrality, sequences
 from padicapery.oracle import catalan_2adic_oracle, zeta_p_oracle
 from padicapery.qseries import ProductRecipe, expand_product
 from padicapery.recurrence import catalan_recurrence, fit_recurrence, verify_recurrence
@@ -181,7 +181,7 @@ def test_acceptance_8_structural_identities(tables):
     assert f1 - f1[0] == lambert_chi_series(0, prec)
     for family, k in ALL_CASES:
         config = catalog(family, k)
-        integrality_report(tables[(family, k)], config)
+        check_integrality(tables[(family, k)], config)
     print("ACCEPTANCE 8: PASS (identities at precision 64 and integrality)")
 
 

@@ -157,6 +157,25 @@ def test_certify_window_without_two_rows_is_usage_error(capsys):
     assert "fewer than two usable rows" in capsys.readouterr().err
 
 
+def test_certify_rejects_window_before_evaluating_oracle(capsys, monkeypatch):
+    def oracle_must_not_run(*args):
+        raise AssertionError("the oracle ran for an unusable window")
+
+    monkeypatch.setattr(cli, "zeta_p_oracle", oracle_must_not_run)
+    with pytest.raises(SystemExit) as err:
+        main(["certify", "--case", "zeta-p2", "--bits", "200", "--window", "0", "0"])
+    assert err.value.code == 2
+    assert "fewer than two usable rows" in capsys.readouterr().err
+
+
+def test_certify_without_oracle_accepts_one_row_window(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--case", "zeta-p5", "--window", "0", "0")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[-1]["verdict"] == "WITNESS_FAIL"
+    assert rows[-1]["rows"] == 1
+
+
 def test_certify_p5_uncertified_rows(capsys):
     code, out, _ = run_cli(capsys, "certify", "--case", "zeta-p5")
     assert code == 0

@@ -44,7 +44,7 @@ def test_catalog_constants():
         for k in (1, 2) if family == "zeta-p2" else (1,):
             config = catalog(family, k)
             p, lam = cases[config.case_id]
-            assert config.p == p
+            assert config.family.p == p
             assert config.lam == lam
 
 
@@ -79,11 +79,16 @@ def test_run_canaries_all_cases():
         run_canaries(catalog(family))
 
 
-def test_canary_detects_corruption(monkeypatch):
-    """A wrong uniformizer must trip the log-derivative canary."""
+@pytest.mark.parametrize(
+    "family,k",
+    [("zeta-p2", 1), ("zeta-p2", 2), ("zeta-p3", 1), ("zeta-p5", 1), ("catalan-p2", 1)],
+)
+def test_canary_detects_corruption(monkeypatch, family, k):
+    """A wrong uniformizer must trip the log-derivative canary, on the
+    squared (Catalan) path as well as the linear (zeta) one."""
     import padicapery.curves as curves_module
 
-    config = catalog("zeta-p3")
+    config = catalog(family, k)
     good = curves_module.uniformizer_series
 
     def bad(cfg, prec):
@@ -117,7 +122,7 @@ def test_catalan_uniformizer_cube_is_eta_quotient():
 
 def test_growth_parameters():
     config = catalog("zeta-p2")
-    assert (config.v, config.e, config.D) == (12, 6, 3)
+    assert (config.family.v, config.family.e, config.D) == (12, 6, 3)
     assert catalog("zeta-p2", 2).D == 5
     assert catalog("catalan-p2").D == 2
-    assert catalog("zeta-p5").e == Fraction(3, 2)
+    assert catalog("zeta-p5").family.e == Fraction(3, 2)
