@@ -163,10 +163,22 @@ def _cmd_sequences(parser, args) -> int:
 
 
 def _evaluate_oracle(family: curves.Family, n: int, bits: int):
-    """The family's p-adic limit at index n, through its oracle target."""
+    """The family's p-adic limit at index n, through its oracle target.
+
+    A limit certified to fewer p-adic digits than requested is reported on
+    stderr; stdout is unchanged.
+    """
     if family.oracle == "catalan":
-        return catalan_2adic_oracle(bits)
-    return zeta_p_oracle(family.p, n, bits)
+        value = catalan_2adic_oracle(bits)
+    else:
+        value = zeta_p_oracle(family.p, n, bits)
+    if value.agreement_exponent < bits:
+        print(
+            f"oracle: certified {value.agreement_exponent} of {bits} "
+            f"requested digits (p = {value.p})",
+            file=sys.stderr,
+        )
+    return value
 
 
 def _cmd_certify(parser, args) -> int:

@@ -14,7 +14,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 
 from .qseries import DEFAULT_PREC, QSeries
 
@@ -41,7 +41,32 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # special values
 
-_BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+# Brent-Harvey tangent and secant numbers (arXiv:1108.0286), computed column
+# by column so that every call extends a table in place, whatever order the
+# indices are asked for in.  Both triangles follow one rule: with the newest
+# column c of length L, the next number N_j comes from
+#   c[0] <- L c[0],  c[i] <- (L - i) c[i] + (j - i + 1) c[i-1]  (i = 1..L-1,
+#   in order, so c[i-1] is already the new value),  N_j = (j - L + 1) c[L-1],
+# and N_j is appended to c.
+# The tangent column for T_j has length j - 1 (so T_j = 2 c[L-1]); the secant
+# column for S_j has length j (so S_j = c[L-1]).  Only the newest column of
+# each triangle is kept.
+_TANGENT: list[int] = [0, 1]  # T_0 (unused), T_1, T_2, ...
+_TANGENT_COLUMN: list[int] = [1]
+_SECANT: list[int] = [1]  # S_0, S_1, ...: |E_0|, |E_2|, ...
+_SECANT_COLUMN: list[int] = [1]
+
+
+def _extend(numbers: list[int], column: list[int], k: int) -> int:
+    """numbers[k], extending numbers and its triangle column as needed."""
+    while len(numbers) <= k:
+        j, size = len(numbers), len(column)
+        prev = column[0] = size * column[0]
+        for i in range(1, size):
+            prev = column[i] = (size - i) * column[i] + (j - i + 1) * prev
+        column.append((j - size + 1) * prev)
+        numbers.append(column[-1])
+    return numbers[k]
 
 
 def bernoulli(n: int) -> Fraction:
@@ -52,19 +77,13 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(1, 2)
     if n % 2 == 1:
         return Fraction(0)
+    if n == 0:
+        return Fraction(1)
+    # B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
     k = n // 2
-    while len(_BERNOULLI_EVEN) <= k:
-        m = 2 * len(_BERNOULLI_EVEN)
-        # sum_{r=0}^{m} C(m+1, r) B_r = 0 with B_1 = -1/2 plugged in; only the
-        # even r survive otherwise, so the sum runs over cached entries.
-        s = Fraction(m + 1, 1) * Fraction(-1, 2)
-        for j, bj in enumerate(_BERNOULLI_EVEN):
-            s += comb(m + 1, 2 * j) * bj
-        _BERNOULLI_EVEN.append(-s / (m + 1))
-    return _BERNOULLI_EVEN[k]
-
-
-_EULER: list[int] = [1]  # E_0, E_2, E_4, ...
+    four_k = 4**k
+    value = Fraction(n * _extend(_TANGENT, _TANGENT_COLUMN, k), four_k * (four_k - 1))
+    return value if k % 2 else -value
 
 
 def euler_number(n: int) -> int:
@@ -72,11 +91,8 @@ def euler_number(n: int) -> int:
     if n < 0 or n % 2 == 1:
         raise ValueError("Euler numbers are only used at even indices >= 0")
     k = n // 2
-    while len(_EULER) <= k:
-        m = len(_EULER)
-        s = sum(comb(2 * m, 2 * j) * ej for j, ej in enumerate(_EULER))
-        _EULER.append(-s)
-    return _EULER[k]
+    secant = _extend(_SECANT, _SECANT_COLUMN, k)
+    return -secant if k % 2 else secant
 
 
 def _require_even_weight(two_k: int, minimum: int) -> None:

@@ -190,14 +190,16 @@ class ProductRecipe:
                 raise ValueError("factor exponent must be an integer")
 
 
-def _mul_binomial_factor(acc: list[Fraction], sign: int, m: int, e: int) -> list[Fraction]:
-    # acc *= (1 + sign q^m)^e, truncated to len(acc).
+def _mul_binomial_factor(acc: list[int], sign: int, m: int, e: int) -> list[int]:
+    # acc *= (1 + sign q^m)^e, truncated to len(acc).  The binomial
+    # coefficients C(e, j) are integers for every integer e, and each running
+    # product coef * (e - j + 1) is j times one of them, so // is exact.
     prec = len(acc)
-    terms: list[tuple[int, Fraction]] = []
-    coef = Fraction(1)
+    terms: list[tuple[int, int]] = []
+    coef = 1
     j = 1
     while m * j < prec:
-        coef = coef * (e - j + 1) / j
+        coef = coef * (e - j + 1) // j
         terms.append((m * j, coef * sign**j))
         j += 1
     if not terms:
@@ -216,9 +218,9 @@ def expand_product(recipe: ProductRecipe, prec: int) -> QSeries:
     """Expand an eta-like infinite product to the requested precision."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    acc = [Fraction(0)] * prec
+    acc = [0] * prec
     if recipe.leading_power < prec:
-        acc[recipe.leading_power] = Fraction(1)
+        acc[recipe.leading_power] = 1
     for sign, stride, exponent in recipe.factors:
         n = 1
         while stride * n < prec:

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -174,6 +175,54 @@ def test_certify_without_oracle_accepts_one_row_window(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[-1]["verdict"] == "WITNESS_FAIL"
     assert rows[-1]["rows"] == 1
+
+
+# sha256 of `certify --case FAMILY -n 40 --window 3 39 --bits 200` stdout,
+# recorded with Bernoulli numbers from the Fraction recurrence and Euler
+# numbers from the binomial recurrence.  Only zeta-p3 falls short of 200
+# digits; the shortfall is reported on stderr.
+CERTIFY_DEEP = {
+    "zeta-p2": ("9e22352708eef302da523ed306612bfd60c14fcb4e0641b240a7b31eb90814a3", ""),
+    "zeta-p3": (
+        "b80c22ade1d2239b1a51942a2bf81482f483c3ff33d7d608c8f4f16822fad580",
+        "oracle: certified 151 of 200 requested digits (p = 3)\n",
+    ),
+    "catalan-p2": ("df1d181bdb791e05bb7329862cc40b82907b94c0c2372e63b5fee060171f1aa2", ""),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CERTIFY_DEEP))
+def test_certify_deep_bytes_match_reference(family, capsys):
+    code, out, err = run_cli(
+        capsys, "certify", "--case", family, "-n", "40", "--window", "3", "39",
+        "--bits", "200",
+    )
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == CERTIFY_DEEP[family]
+
+
+def test_oracle_reports_shortfall_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--target", "zeta-p2", "--bits", "300")
+    assert code == 0
+    assert json.loads(out)["agreement_exponent"] == 241
+    assert err == "oracle: certified 241 of 300 requested digits (p = 2)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--case", "zeta-p2"),
+        ("certify", "--case", "zeta-p3", "--bits", "30", "--window", "3", "8"),
+        ("certify", "--case", "catalan-p2"),
+        ("oracle", "--target", "catalan", "--bits", "40"),
+        ("oracle", "--target", "zeta-p2", "-n", "1", "--bits", "40"),
+        ("oracle", "--target", "zeta-p3", "--bits", "40"),
+    ],
+)
+def test_default_sizes_leave_stderr_empty(argv, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
 
 
 def test_certify_p5_uncertified_rows(capsys):

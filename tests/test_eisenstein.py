@@ -1,11 +1,14 @@
 """Bernoulli and Euler numbers, L-values, and Eisenstein-type series."""
 
+import hashlib
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padicapery import eisenstein
 from padicapery.eisenstein import (
     bernoulli,
     chi4,
@@ -50,6 +53,79 @@ def euler_numbers_from_sech(count: int) -> list[Fraction]:
             acc += cosh[i] * sech[n - i]
         sech[n] = -acc
     return [sech[2 * i] * factorial[2 * i] for i in range(count + 1)]
+
+
+def reference_bernoulli_even(count: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_{2 count} from sum_{r=0}^{m} C(m+1, r) B_r = 0.
+
+    The slow exact-rational recurrence that bernoulli replaced.
+    """
+    values = [Fraction(1)]
+    while len(values) <= count:
+        m = 2 * len(values)
+        s = Fraction(m + 1, 1) * Fraction(-1, 2)
+        for j, bj in enumerate(values):
+            s += comb(m + 1, 2 * j) * bj
+        values.append(-s / (m + 1))
+    return values
+
+
+def reference_euler_even(count: int) -> list[int]:
+    """E_0, E_2, ..., E_{2 count} from sum_j C(2m, 2j) E_{2j} = 0."""
+    values = [1]
+    while len(values) <= count:
+        m = len(values)
+        values.append(-sum(comb(2 * m, 2 * j) * ej for j, ej in enumerate(values)))
+    return values
+
+
+def primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(n) if sieve[i]]
+
+
+def test_fast_numbers_match_reference_recurrence():
+    want_b = reference_bernoulli_even(150)
+    want_e = reference_euler_even(150)
+    assert [bernoulli(2 * i) for i in range(151)] == want_b
+    assert [euler_number(2 * i) for i in range(151)] == want_e
+
+
+def test_von_staudt_clausen():
+    """The denominator of B_{2k} is the product of the primes p, (p-1) | 2k."""
+    primes = primes_below(1202)
+    for n in range(2, 1202, 2):
+        assert bernoulli(n).denominator == prod(p for p in primes if n % (p - 1) == 0)
+
+
+def test_values_do_not_depend_on_call_order(monkeypatch):
+    def fresh_values(order):
+        # Restart the cached tangent and secant tables from their first column.
+        monkeypatch.setattr(eisenstein, "_TANGENT", [0, 1])
+        monkeypatch.setattr(eisenstein, "_TANGENT_COLUMN", [1])
+        monkeypatch.setattr(eisenstein, "_SECANT", [1])
+        monkeypatch.setattr(eisenstein, "_SECANT_COLUMN", [1])
+        return {n: (bernoulli(n), euler_number(n)) for n in order}
+
+    high_first = fresh_values((1000, 10))
+    low_first = fresh_values((10, 1000))
+    assert high_first == low_first
+    assert high_first[10] == (Fraction(5, 66), -50521)
+    assert high_first[1000][0].denominator == 2 * 3 * 5 * 11 * 41 * 101 * 251
+
+
+# Recorded with the Fraction recurrence for B_n and the binomial recurrence
+# for E_n.
+BERNOULLI_EULER_SHA256 = "8712f5f5e4e78231b80c8dedbdac98b5063655e92bec069e1f10aa6ec2f215ff"
+
+
+def test_bernoulli_euler_digest_through_1200():
+    values = [(bernoulli(n), euler_number(n)) for n in range(0, 1202, 2)]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == BERNOULLI_EULER_SHA256
 
 
 def test_bernoulli_known_values():
