@@ -3,8 +3,9 @@
 The package computes, in exact rational arithmetic, the Apery-style
 approximant sequences attached to 2-adic and 3-adic zeta values and to
 the 2-adic Catalan constant, evaluates the target limits independently
-through p-adic interpolation of classical L-values, and checks a
-finite-range irrationality criterion that compares the two.
+as values of p-adic L-functions (Washington's series, cross-checked by
+p-adic interpolation of classical L-values), and checks a finite-range
+irrationality criterion that compares the two.
 """
 
 from .curves import CaseConfig, FAMILIES, IdentityError, catalog, run_canaries

@@ -51,6 +51,11 @@ _RECURRENCE_CASES = tuple(
     name for name, family in curves.FAMILY_TABLE.items() if family.recurrence is not None
 )
 _FORMS = ("e", "e-star", "e-prime", "evil", "f", "f-prime")
+# Caps on the size arguments that do not count terms.  At 2048 digits the
+# slowest oracle (p = 3) takes under a second; the Newton cross-check at p = 2
+# grows steeply with n (0.5 s at n = 16, 4 s at n = 32).
+_MAX_BITS = 2048
+_MAX_INDEX = 16
 
 
 def _real(value: float) -> str:
@@ -66,6 +71,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _resolve_case(parser: argparse.ArgumentParser, family: str, k: int):
+    if k > _MAX_INDEX:
+        parser.error(f"-k {k} exceeds the cap of {_MAX_INDEX}")
     try:
         return curves.catalog(family, k)
     except ValueError as exc:
@@ -81,6 +88,13 @@ def _check_cap(parser: argparse.ArgumentParser, count: int) -> None:
         )
     if count < 1:
         parser.error("term count must be positive")
+
+
+def _check_size(parser: argparse.ArgumentParser, flag: str, value: int, cap: int) -> None:
+    if value < 1:
+        parser.error(f"{flag} must be positive")
+    if value > cap:
+        parser.error(f"{flag} {value} exceeds the cap of {cap}")
 
 
 def _cmd_series(parser, args) -> int:
@@ -187,8 +201,7 @@ def _cmd_certify(parser, args) -> int:
         parser.error("--window needs 0 <= LO <= HI")
     count = max(args.count, window[1] + 1)
     _check_cap(parser, count)
-    if args.bits < 1:
-        parser.error("--bits must be positive")
+    _check_size(parser, "--bits", args.bits, _MAX_BITS)
     config = _resolve_case(parser, args.case, args.k)
     table = sequences(config, count)
     eta = None
@@ -244,15 +257,12 @@ def _cmd_certify(parser, args) -> int:
 
 
 def _cmd_oracle(parser, args) -> int:
-    if args.bits < 1:
-        parser.error("--bits must be positive")
-    if args.digits < 1:
-        parser.error("--digits must be positive")
+    _check_size(parser, "--bits", args.bits, _MAX_BITS)
+    _check_size(parser, "--digits", args.digits, _MAX_BITS)
     family = _ORACLE_FAMILIES[args.target]
     if family.fixed_k and args.n != 1:
         parser.error("the Catalan oracle is defined for n = 1 only")
-    if args.n < 1:
-        parser.error("-n must be positive")
+    _check_size(parser, "-n", args.n, _MAX_INDEX)
     value = _evaluate_oracle(family, args.n, args.bits)
     payload = {
         "agreement_exponent": value.agreement_exponent,

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from padicapery import cli
 from padicapery.cli import main
-from padicapery.oracle import OracleInconsistency
+from padicapery.oracle import OracleInconsistency, PadicValue
 
 
 def run_cli(capsys, *argv):
@@ -178,16 +179,11 @@ def test_certify_without_oracle_accepts_one_row_window(capsys):
 
 
 # sha256 of `certify --case FAMILY -n 40 --window 3 39 --bits 200` stdout,
-# recorded with Bernoulli numbers from the Fraction recurrence and Euler
-# numbers from the binomial recurrence.  Only zeta-p3 falls short of 200
-# digits; the shortfall is reported on stderr.
+# recorded with the series oracle (216 certified digits, so stderr is empty).
 CERTIFY_DEEP = {
-    "zeta-p2": ("9e22352708eef302da523ed306612bfd60c14fcb4e0641b240a7b31eb90814a3", ""),
-    "zeta-p3": (
-        "b80c22ade1d2239b1a51942a2bf81482f483c3ff33d7d608c8f4f16822fad580",
-        "oracle: certified 151 of 200 requested digits (p = 3)\n",
-    ),
-    "catalan-p2": ("df1d181bdb791e05bb7329862cc40b82907b94c0c2372e63b5fee060171f1aa2", ""),
+    "zeta-p2": ("b02175d5fae3408053580a08a35c15811a54f21f51dd409a8236cb991bb3f8dc", ""),
+    "zeta-p3": ("b195d07fb7b79781765cd1ff460d63dea7368628ce72afb8be4a0fbad41b38ca", ""),
+    "catalan-p2": ("4b4babdec5c733287fa50fbbda197c5e0d2a5f931331187635e9bdb94b84a999", ""),
 }
 
 
@@ -201,7 +197,51 @@ def test_certify_deep_bytes_match_reference(family, capsys):
     assert (hashlib.sha256(out.encode()).hexdigest(), err) == CERTIFY_DEEP[family]
 
 
-def test_oracle_reports_shortfall_on_stderr(capsys):
+# What the Newton-interpolation oracle certified on the benchmark's certify
+# ops: (verdict, certified_rows, valuation gaps of the certified rows n = 3,
+# 4, ...).  A deeper oracle may certify more rows, but none of these may lose
+# its certificate or change its gap, and no verdict may change.
+CERTIFY_BEFORE_SERIES_ORACLE = {
+    "certify --case zeta-p2 -n 40 --window 3 39 --bits 200": (
+        "WITNESS_PASS", 16,
+        [19, 31, 43, 52, 61, 76, 91, 100, 109, 121, 133, 142, 151, 169, 187, 196],
+    ),
+    "certify --case zeta-p3 -n 40 --window 3 39 --bits 200": (
+        "WITNESS_PASS", 25,
+        [10, 17, 16, 24, 31, 33, 43, 53, 55, 62, 68, 68, 74, 81, 83, 93, 103, 105,
+         112, 120, 119, 126, 133, 135, 148],
+    ),
+    "certify --case catalan-p2 -n 40 --window 3 39 --bits 200": (
+        "WITNESS_PASS", 25,
+        [13, 21, 29, 35, 41, 51, 61, 67, 73, 81, 89, 95, 101, 113, 125, 131, 137,
+         145, 153, 159, 165, 175, 185, 191, 197],
+    ),
+    "certify --case zeta-p2": ("WITNESS_PASS", 3, [19, 31, 43]),
+    "certify --case zeta-p2 -k 2": ("WITNESS_FAIL", 4, [12, 26, 38, 43]),
+    "certify --case zeta-p3": ("WITNESS_PASS", 6, [10, 17, 16, 24, 31, 33]),
+    "certify --case zeta-p5": ("WITNESS_FAIL", 0, []),
+    "certify --case catalan-p2": ("WITNESS_PASS", 5, [13, 21, 29, 35, 41]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CERTIFY_BEFORE_SERIES_ORACLE))
+def test_certified_rows_keep_their_gaps(op, capsys):
+    verdict, count, gaps = CERTIFY_BEFORE_SERIES_ORACLE[op]
+    code, out, _ = run_cli(capsys, *op.split())
+    assert code == 0
+    *rows, summary = [json.loads(line) for line in out.splitlines()]
+    assert summary["verdict"] == verdict
+    assert summary["certified_rows"] >= count
+    certified = {row["n"]: row["valuation_gap"] for row in rows if row["certified"]}
+    for n, gap in enumerate(gaps, start=3):
+        assert certified.get(n) == gap, n
+
+
+def test_oracle_reports_shortfall_on_stderr(capsys, monkeypatch):
+    def short(p, n, bits):
+        return PadicValue(Fraction(1, 3), 241, p)
+
+    monkeypatch.setattr(cli, "zeta_p_oracle", short)
     code, out, err = run_cli(capsys, "oracle", "--target", "zeta-p2", "--bits", "300")
     assert code == 0
     assert json.loads(out)["agreement_exponent"] == 241
@@ -263,6 +303,39 @@ def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "oracle inconsistency: strategies disagree\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("oracle --target zeta-p3 --bits 2049", "--bits 2049 exceeds the cap of 2048"),
+        ("oracle --target zeta-p2 -n 200", "-n 200 exceeds the cap of 16"),
+        ("oracle --target catalan --digits 2049", "--digits 2049 exceeds the cap of 2048"),
+        ("certify --case zeta-p2 --bits 100000", "--bits 100000 exceeds the cap of 2048"),
+        ("certify --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
+        ("sequences --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
+        ("series --case zeta-p2 -k 1000000", "-k 1000000 exceeds the cap of 16"),
+    ],
+)
+def test_size_caps_are_usage_errors(argv, message, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a capped request must not compute anything")
+
+    for name in ("zeta_p_oracle", "catalan_2adic_oracle", "sequences"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.curves, "catalog", refuse)
+    monkeypatch.setattr(cli.curves, "uniformizer_series", refuse)
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_oracle_at_the_bits_cap_meets_the_request(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--target", "zeta-p2", "--bits", "2048")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["agreement_exponent"] >= 2048
 
 
 def test_oracle_rejects_catalan_with_n():

@@ -1,11 +1,13 @@
-"""p-adic limit evaluation by interpolation, with certified agreement."""
+"""p-adic limit evaluation by the Washington series, with certified agreement
+and cross-checks against Newton interpolation."""
 
 from fractions import Fraction
 
 import pytest
 
+from padicapery import eisenstein, oracle
 from padicapery.curves import catalog
-from padicapery.eisenstein import zeta_star
+from padicapery.eisenstein import l_chi4_neg, zeta_star
 from padicapery.exactnum import vp
 from padicapery.expansion import sequences
 from padicapery.oracle import (
@@ -93,3 +95,60 @@ def test_digits_reproduce_representative_prefix():
     for exponent, digit in value.digits(8):
         partial += digit * Fraction(2) ** exponent
     assert vp(value.representative - partial, 2) > 9
+
+
+# (p, oracle at `bits`) for each target.
+ORACLES = {
+    "zeta-p2": (2, lambda bits: zeta_p_oracle(2, 1, bits)),
+    "zeta-p2 n=2": (2, lambda bits: zeta_p_oracle(2, 2, bits)),
+    "zeta-p3": (3, lambda bits: zeta_p_oracle(3, 1, bits)),
+    "zeta-p3 n=2": (3, lambda bits: zeta_p_oracle(3, 2, bits)),
+    "catalan": (2, catalan_2adic_oracle),
+}
+
+
+@pytest.mark.parametrize(
+    "target, g, newton_exponent",
+    [
+        ("zeta-p2", lambda k: zeta_star(2, k), 203),
+        ("zeta-p3", lambda k: zeta_star(3, k), 151),
+        ("catalan", l_chi4_neg, 201),
+    ],
+)
+def test_series_agrees_with_newton_at_200_bits(target, g, newton_exponent):
+    """The slow reference path, run as deep as its node budget reaches."""
+    p, evaluate = ORACLES[target]
+    modulus = oracle._modulus(p, oracle._stride_exponent(p, 1))
+    newton = oracle._interpolated_limit(g, p, modulus, 1, 200)
+    assert newton.agreement_exponent == newton_exponent
+    series = evaluate(200)
+    assert vp(series.representative - newton.representative, p) >= newton_exponent
+
+
+@pytest.mark.parametrize("target", sorted(ORACLES))
+@pytest.mark.parametrize("bits", [1, 7, 40, 200])
+def test_oracle_never_over_claims(target, bits):
+    """The value at N digits agrees with the value at 2N to its exponent."""
+    p, evaluate = ORACLES[target]
+    shallow, deep = evaluate(bits), evaluate(2 * bits)
+    assert shallow.agreement_exponent >= bits
+    agreement = vp(shallow.representative - deep.representative, p)
+    assert agreement >= shallow.agreement_exponent
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_wrong_bernoulli_number_is_an_inconsistency(p, monkeypatch):
+    """A bad table entry moves the series at F = p**m and F = p**(m+1) apart."""
+    real = eisenstein.bernoulli
+
+    def wrong(index):
+        return real(index) + (index == 20)
+
+    monkeypatch.setattr(eisenstein, "bernoulli", wrong)
+    with pytest.raises(OracleInconsistency):
+        zeta_p_oracle(p, 1, 200)
+
+
+@pytest.mark.parametrize("target", ["catalan", "zeta-p2", "zeta-p3"])
+def test_oracle_meets_1500_digit_request(target):
+    assert ORACLES[target][1](1500).agreement_exponent >= 1500
