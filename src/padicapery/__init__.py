@@ -12,7 +12,6 @@ from .curves import CaseConfig, FAMILIES, IdentityError, catalog, run_canaries
 from .diophantine import (
     Certificate,
     CertificationReport,
-    check_height_bound,
     criterion_check,
     resolve_sign,
     slope_empirical,
@@ -64,7 +63,6 @@ __all__ = [
     "catalan_2adic_oracle",
     "catalan_recurrence",
     "catalog",
-    "check_height_bound",
     "check_integrality",
     "criterion_check",
     "expand_product",

@@ -14,10 +14,6 @@ A row can only be *certified* when the observed agreement is strictly
 inside the oracle's own trust radius: if the valuation of the difference
 reaches the oracle's agreement exponent, the row sees the oracle's error,
 not eta, and is reported as uncertified rather than passed.
-
-``check_height_bound`` verifies the elementary height inequality that
-powers the criterion: if x != y and vp(x - y) >= n, then writing x = a/b
-and y = c/d in lowest terms, max(|c|, d) >= p**n / (|a| + b).
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curves import CaseConfig
 from .exactnum import log_size, vp
@@ -225,24 +220,3 @@ def criterion_check(
         certificates=tuple(certificates),
     )
 
-
-def check_height_bound(x, y, p: int, n: int) -> Fraction:
-    """Verify the height inequality behind the criterion and return the bound.
-
-    Requires x != y with vp(x - y, p) >= n.  Writing x = a/b and y = c/d
-    in lowest terms, p**n divides the integer a*d - b*c, which is bounded
-    by (|a| + b) * max(|c|, d); hence max(|c|, d) >= p**n / (|a| + b).
-    """
-    x = Fraction(x)
-    y = Fraction(y)
-    if x == y:
-        raise ValueError("x and y must differ")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if vp(x - y, p) < n:
-        raise ValueError("x and y do not agree to p**n")
-    bound = Fraction(p**n, abs(x.numerator) + x.denominator)
-    height = max(abs(y.numerator), y.denominator)
-    if height < bound:
-        raise AssertionError("height inequality violated; valuation is broken")
-    return bound

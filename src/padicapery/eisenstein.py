@@ -14,8 +14,8 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
 
+from .exactnum import _require_prime
 from .qseries import DEFAULT_PREC, QSeries
 
 __all__ = [
@@ -25,17 +25,12 @@ __all__ = [
     "zeta_star",
     "l_chi4_neg",
     "chi4",
-    "divisors",
-    "sigma",
-    "sigma_star",
-    "sigma_chi",
     "series_e",
     "series_e_star",
     "series_evil",
     "series_e_prime",
     "series_f",
     "series_f_prime",
-    "lambert_chi_series",
 ]
 
 # ---------------------------------------------------------------------------
@@ -125,46 +120,21 @@ def chi4(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# divisor sums
-
-def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def sigma(n: int, w: int) -> Fraction:
-    """sum of d**w over all divisors of n (w may be negative)."""
-    return sum((Fraction(d) ** w for d in divisors(n)), Fraction(0))
-
-
-def sigma_star(n: int, p: int, w: int) -> Fraction:
-    """sum of d**w over divisors of n coprime to p."""
-    return sum(
-        (Fraction(d) ** w for d in divisors(n) if gcd(d, p) == 1), Fraction(0)
-    )
-
-
-def sigma_chi(n: int, w: int) -> Fraction:
-    """sum of chi(d) d**w over divisors of n."""
-    return sum((chi4(d) * Fraction(d) ** w for d in divisors(n)), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
 # q-expansions
+
+def _lambert(constant, term, prec: int) -> QSeries:
+    """constant + sum over d e = n < prec of term(d, e) q^n, by one sieve."""
+    coeffs = [constant] + [0] * (prec - 1)
+    for d in range(1, prec):
+        for n in range(d, prec, d):
+            coeffs[n] += term(d, n // d)
+    return QSeries(coeffs)
+
 
 def series_e(two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
     """Level-one Eisenstein series of weight 2k, constant zeta(1-2k)/2."""
     _require_even_weight(two_k, 2)
-    return QSeries(
-        [zeta_neg(two_k) / 2] + [sigma(n, two_k - 1) for n in range(1, prec)]
-    )
+    return _lambert(zeta_neg(two_k) / 2, lambda d, e: d ** (two_k - 1), prec)
 
 
 def series_e_star(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
@@ -174,70 +144,45 @@ def series_e_star(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
     identity is exercised in the tests rather than assumed here.
     """
     _require_even_weight(two_k, 2)
-    return QSeries(
-        [zeta_star(p, two_k) / 2]
-        + [sigma_star(n, p, two_k - 1) for n in range(1, prec)]
+    _require_prime(p)
+    return _lambert(
+        zeta_star(p, two_k) / 2, lambda d, e: d ** (two_k - 1) if d % p else 0, prec
     )
 
 
 def series_evil(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
     """The cuspidal-at-infinity twin E_{2k}(tau) - E_{2k}(p tau).
 
-    Its q^n coefficient is sigma_{2k-1}(n) - sigma_{2k-1}(n/p), the n/p term
-    present only when p | n; the constant vanishes.
+    Its q^n coefficient is sigma_{2k-1}(n) - sigma_{2k-1}(n/p) (when p | n),
+    the sum of d^{2k-1} over d | n with p not dividing n/d; no constant.
     """
     _require_even_weight(two_k, 4)
-    coeffs = [Fraction(0)]
-    for n in range(1, prec):
-        c = sigma(n, two_k - 1)
-        if n % p == 0:
-            c -= sigma(n // p, two_k - 1)
-        coeffs.append(c)
-    return QSeries(coeffs)
+    _require_prime(p)
+    return _lambert(0, lambda d, e: d ** (two_k - 1) if e % p else 0, prec)
 
 
 def series_e_prime(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
     """Weight -2k antiderivative: theta^{2k+1} of it gives the evil twin of
-    weight 2k+2.  Coefficient of q^n is sigma_star(n, p, -(2k+1)); zero
-    constant term by construction."""
+    weight 2k+2.  Coefficient of q^n is the sum of d^{-(2k+1)} over the
+    divisors d of n prime to p; zero constant term by construction."""
     _require_even_weight(two_k, 2)
-    return QSeries(
-        [Fraction(0)] + [sigma_star(n, p, -(two_k + 1)) for n in range(1, prec)]
+    _require_prime(p)
+    return _lambert(
+        0, lambda d, e: Fraction(1, d ** (two_k + 1)) if d % p else 0, prec
     )
 
 
 def series_f(weight: int, prec: int = DEFAULT_PREC) -> QSeries:
     """Odd-weight Eisenstein family for chi mod 4: weight 2k+1 has constant
-    L(-2k, chi)/2 and q^n coefficient sum_{d|n} chi(d) d^{2k}."""
+    L(-2k, chi)/2 and q^n coefficient sum_{d|n} chi(d) d^{2k}, the Lambert
+    form sum_{m odd} chi(m) m^{2k} q^m/(1-q^m) plus the constant."""
     if weight % 2 == 0 or weight < 1:
         raise ValueError(f"weight must be odd and >= 1, got {weight}")
     two_k = weight - 1
-    return QSeries(
-        [l_chi4_neg(two_k) / 2] + [sigma_chi(n, two_k) for n in range(1, prec)]
-    )
+    return _lambert(l_chi4_neg(two_k) / 2, lambda d, e: chi4(d) * d**two_k, prec)
 
 
 def series_f_prime(prec: int = DEFAULT_PREC) -> QSeries:
     """Weight -1 antiderivative of the weight-3 member: coefficient of q^n is
     sum_{d|n} chi(d) d^{-2}, zero constant term."""
-    return QSeries([Fraction(0)] + [sigma_chi(n, -2) for n in range(1, prec)])
-
-
-def lambert_chi_series(w: int, prec: int = DEFAULT_PREC) -> QSeries:
-    """The Lambert-type form sum_{n>=0} (-1)^n (2n+1)^w q^{2n+1}/(1-q^{2n+1}).
-
-    With w = 2k this is the cuspidal part of series_f(2k+1); with w = -2 it is
-    series_f_prime.  Kept as an independent construction so the two displayed
-    forms can be checked against each other.
-    """
-    out = [Fraction(0)] * prec
-    n = 0
-    while 2 * n + 1 < prec:
-        m = 2 * n + 1
-        c = (-1) ** n * Fraction(m) ** w
-        j = m
-        while j < prec:
-            out[j] += c
-            j += m
-        n += 1
-    return QSeries(out)
+    return _lambert(0, lambda d, e: Fraction(chi4(d), d * d), prec)

@@ -80,15 +80,19 @@ def padic_digits(x: Fraction | int, p: int, count: int) -> list[tuple[int, int]]
     _require_prime(p)
     if count < 1:
         raise ValueError("count must be positive")
-    x = Fraction(x)
+    # x = num/den * p**v with den a unit: peel num/den mod p, divide num by p.
+    num, den = Fraction(x).as_integer_ratio()
+    v = -_int_valuation(den, p)
+    den //= p**-v
+    inv = pow(den, -1, p)
     out: list[tuple[int, int]] = []
-    while x != 0 and len(out) < count:
-        v = vp(x, p)
-        unit = x / Fraction(p) ** v
-        # unit is a p-adic unit, so its residue mod p is invertible
-        d = unit.numerator * pow(unit.denominator, -1, p) % p
-        out.append((v, d))
-        x -= d * Fraction(p) ** v
+    while num and len(out) < count:
+        d = num * inv % p
+        if d:
+            out.append((v, d))
+            num -= d * den
+        num //= p
+        v += 1
     return out
 
 

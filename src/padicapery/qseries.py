@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["DEFAULT_PREC", "QSeries", "ProductRecipe", "expand_product"]
 
@@ -59,14 +59,12 @@ class QSeries:
         return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
-        # Jets agree when they agree on every index both sides can see.
+        # Jets agree when they agree on every index both sides can see.  That
+        # is not transitive across precisions, so jets define no __hash__.
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.prec, other.prec)
         return self.coeffs[:n] == other.coeffs[:n]
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         body = " + ".join(

@@ -18,7 +18,7 @@ from padicapery.curves import (
     check_log_derivative,
 )
 from padicapery.diophantine import slope_empirical, theta_closed
-from padicapery.eisenstein import series_e_prime, series_evil, series_f, lambert_chi_series
+from padicapery.eisenstein import chi4, series_e_prime, series_evil, series_f
 from padicapery.exactnum import vp
 from padicapery.expansion import check_integrality, sequences
 from padicapery.oracle import catalan_2adic_oracle, zeta_p_oracle
@@ -178,7 +178,9 @@ def test_acceptance_8_structural_identities(tables):
                 powered = powered.theta()
             assert powered == series_evil(p, 2 * k + 2, prec)
     f1 = series_f(1, prec)
-    assert f1 - f1[0] == lambert_chi_series(0, prec)
+    assert [f1[n] for n in range(1, prec)] == [
+        sum(chi4(d) for d in range(1, n + 1) if n % d == 0) for n in range(1, prec)
+    ]
     for family, k in ALL_CASES:
         config = catalog(family, k)
         check_integrality(tables[(family, k)], config)

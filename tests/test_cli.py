@@ -53,6 +53,34 @@ def test_series_p_validation():
     with pytest.raises(SystemExit) as err:
         main(["series", "--form", "f", "--weight", "1", "--p", "2", "--prec", "3"])
     assert err.value.code == 2
+    for p in ("0", "1", "4", "-2"):
+        for form, weight in (("e-star", "2"), ("e-prime", "2"), ("evil", "4")):
+            argv = ["series", "--form", form, "--weight", weight, "--p", p, "--prec", "5"]
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+
+
+# sha256 of `series --form FORM ... --prec 64` stdout, recorded with the
+# trial-division divisor sums that the series sieve replaced.
+SERIES_DIGESTS = {
+    "e --weight 4": "354dcea6f54a46251174ab0932788340271c5e4285f4905aaaa140c3e66f191b",
+    "e-star --weight 2 --p 2": "2d2f5de0204944044e9e05a3cad7c9cd7273cb2661486b6b987f887b229246de",
+    "e-star --weight 6 --p 5": "dbbf3f5282aa7b513fd2564edd8e5ac22f78acab23525e7f91b179700e983381",
+    "evil --weight 4 --p 3": "8d61e7d98d65ac16c22729d891d8779c222294533d508e7c8fa8be86ce1fba23",
+    "e-prime --weight 2 --p 2": "daba2526fc17dbd957beab5209c1e42956e1f23365cbc0d2df40c6b8090a5e44",
+    "e-prime --weight 4 --p 3": "61ce216394cda6ae98027623e539179d0ee142bba5d05c15b200a4ab21ba5447",
+    "f --weight 1": "60fcf822e248fe4055b6c30bdd34915788828160a8a6e71414de9f4cf05f24dc",
+    "f --weight 5": "27e5f4a2614d289804a53b8e941fa7c283e129cfbf3b670aad67a7da36b80309",
+    "f-prime": "c79aff08591c0f51bade27544aa6de16be41361f8ff872cb40bc5b643e9f2c84",
+}
+
+
+@pytest.mark.parametrize("form", sorted(SERIES_DIGESTS))
+def test_series_bytes_match_reference(form, capsys):
+    code, out, err = run_cli(capsys, "series", "--form", *form.split(), "--prec", "64")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[form]
 
 
 def test_series_prec_is_capped(monkeypatch):
@@ -292,6 +320,19 @@ def test_oracle_json(capsys):
     assert payload["digits"][:4] == [[-1, 1], [0, 1], [2, 1], [3, 1]]
     assert payload["representative"]["den"].isdigit()
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+
+def test_oracle_deep_digits_match_reference(capsys):
+    """2048 trits of zeta_3, read off as digits; recorded with the Fraction
+    digit loop that padic_digits replaced."""
+    code, out, err = run_cli(
+        capsys, "oracle", "--target", "zeta-p3", "--bits", "2048", "--digits", "2048"
+    )
+    assert (code, err) == (0, "")
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "2f861e8639cf02eda3f0c6167428baf2a9c4e20df8954de33c0e14521b351cef"
+    )
 
 
 def test_oracle_inconsistency_exits_one(capsys, monkeypatch):

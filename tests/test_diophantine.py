@@ -1,14 +1,12 @@
 """Closed-form exponents, empirical slopes, and the witness criterion."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from padicapery.curves import catalog
 from padicapery.diophantine import (
-    check_height_bound,
     criterion_check,
     resolve_sign,
     slope_empirical,
@@ -131,39 +129,3 @@ def test_criterion_rejects_mismatched_prime():
     with pytest.raises(ValueError):
         criterion_check(config, table, zeta_p_oracle(2, 1, 20))
 
-
-def test_check_height_bound_example():
-    bound = check_height_bound(Fraction(1, 3), Fraction(97, 3), 2, 5)
-    assert bound == Fraction(32, 4)
-
-
-def test_check_height_bound_rejects_bad_hypotheses():
-    with pytest.raises(ValueError):
-        check_height_bound(Fraction(1, 3), Fraction(1, 3), 2, 5)
-    with pytest.raises(ValueError):
-        check_height_bound(Fraction(1, 3), Fraction(2, 3), 2, 5)
-
-
-def test_check_height_bound_fuzz():
-    """The inequality holds on a thousand seeded close pairs."""
-    rng = random.Random(20260814)
-    checked = 0
-    for _ in range(1000):
-        p = rng.choice([2, 3, 5])
-        n = rng.randrange(1, 12)
-        num = rng.randrange(-400, 400)
-        den = rng.randrange(1, 60)
-        x = Fraction(num, den)
-        shift_num = rng.randrange(1, 50)
-        shift_den = rng.choice([1, 3, 5, 7, 11])
-        while shift_num % p == 0:
-            shift_num += 1
-        while shift_den % p == 0:
-            shift_den += 2
-        y = x + Fraction(shift_num, shift_den) * Fraction(p) ** n
-        if x == y:
-            continue
-        bound = check_height_bound(x, y, p, n)
-        assert max(abs(y.numerator), y.denominator) >= bound
-        checked += 1
-    assert checked > 900

@@ -2,7 +2,7 @@
 
 import hashlib
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -12,19 +12,14 @@ from padicapery import eisenstein
 from padicapery.eisenstein import (
     bernoulli,
     chi4,
-    divisors,
     euler_number,
     l_chi4_neg,
-    lambert_chi_series,
     series_e,
     series_e_prime,
     series_e_star,
     series_evil,
     series_f,
     series_f_prime,
-    sigma,
-    sigma_chi,
-    sigma_star,
     zeta_neg,
     zeta_star,
 )
@@ -86,6 +81,38 @@ def primes_below(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(n) if sieve[i]]
+
+
+def divisors(n: int) -> list[int]:
+    """Divisors of n by trial division up to sqrt(n).
+
+    This and the sigma functions below are the per-coefficient divisor sums
+    that the series sieve replaced.
+    """
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def sigma(n: int, w: int) -> Fraction:
+    """sum of d**w over all divisors of n (w may be negative)."""
+    return sum((Fraction(d) ** w for d in divisors(n)), Fraction(0))
+
+
+def sigma_star(n: int, p: int, w: int) -> Fraction:
+    """sum of d**w over divisors of n coprime to p."""
+    return sum(
+        (Fraction(d) ** w for d in divisors(n) if gcd(d, p) == 1), Fraction(0)
+    )
+
+
+def sigma_chi(n: int, w: int) -> Fraction:
+    """sum of chi(d) d**w over divisors of n."""
+    return sum((chi4(d) * Fraction(d) ** w for d in divisors(n)), Fraction(0))
 
 
 def test_fast_numbers_match_reference_recurrence():
@@ -173,22 +200,59 @@ def test_chi4_character():
 
 def test_divisor_sums():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert sigma(6, 1) == 12
-    assert sigma(4, 3) == 1 + 8 + 64
-    assert sigma_star(12, 2, 1) == 1 + 3
-    assert sigma_star(12, 3, 1) == 1 + 2 + 4
-    assert sigma_chi(5, 0) == chi4(1) + chi4(5)
-    assert sigma(4, -1) == Fraction(1 + Fraction(1, 2) + Fraction(1, 4))
+    assert series_e(2, 7)[6] == 1 + 2 + 3 + 6
+    assert series_e(4, 5)[4] == 1 + 8 + 64
+    assert series_e_star(2, 2, 13)[12] == 1 + 3
+    assert series_e_star(3, 2, 13)[12] == 1 + 2 + 4
+    assert series_f(1, 6)[5] == chi4(1) + chi4(5)
+    assert series_e_prime(3, 2, 5)[4] == 1 + Fraction(1, 8) + Fraction(1, 64)
+    assert series_evil(3, 4, 10)[9] == (1 + 27 + 729) - (1 + 27)
 
 
-@given(st.integers(min_value=1, max_value=300))
+PREC_STRIP = 301
+E4 = series_e(4, PREC_STRIP)
+E4_STAR_2 = series_e_star(2, 4, PREC_STRIP)
+
+
+@given(st.integers(min_value=1, max_value=PREC_STRIP - 1))
 def test_sigma_star_strips_p_part(n):
-    """sigma* of n equals sigma* of n with its 2-part removed."""
+    """The E*_4 coefficient at n (p = 2) equals the one at the odd part of n,
+    and there it is the full divisor sum of series_e."""
     m = n
     while m % 2 == 0:
         m //= 2
-    assert sigma_star(n, 2, 3) == sigma_star(m, 2, 3)
-    assert sigma_star(m, 2, 3) == sigma(m, 3)
+    assert E4_STAR_2[n] == E4_STAR_2[m]
+    assert E4_STAR_2[m] == E4[m]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_series_match_reference_divisor_sums(p):
+    """All six sieved series equal the trial-division sums at precision 200."""
+    prec = 200
+    ns = range(1, prec)
+    for two_k in (2, 4, 6):
+        assert series_e(two_k, prec) == QSeries(
+            [zeta_neg(two_k) / 2] + [sigma(n, two_k - 1) for n in ns]
+        )
+        assert series_e_star(p, two_k, prec) == QSeries(
+            [zeta_star(p, two_k) / 2] + [sigma_star(n, p, two_k - 1) for n in ns]
+        )
+        assert series_e_prime(p, two_k, prec) == QSeries(
+            [0] + [sigma_star(n, p, -(two_k + 1)) for n in ns]
+        )
+        if two_k >= 4:
+            assert series_evil(p, two_k, prec) == QSeries(
+                [0]
+                + [
+                    sigma(n, two_k - 1) - (sigma(n // p, two_k - 1) if n % p == 0 else 0)
+                    for n in ns
+                ]
+            )
+    for weight in (1, 3, 5):
+        assert series_f(weight, prec) == QSeries(
+            [l_chi4_neg(weight - 1) / 2] + [sigma_chi(n, weight - 1) for n in ns]
+        )
+    assert series_f_prime(prec) == QSeries([0] + [sigma_chi(n, -2) for n in ns])
 
 
 def test_series_e_normalization():
@@ -252,15 +316,25 @@ def test_series_f_constant_and_first_terms():
 
 
 def test_series_f_matches_lambert_form():
-    """The divisor-sum and Lambert-series forms agree for odd weights.
+    """The sieved series equal the Lambert form sum_m chi(m) m^w q^m/(1-q^m),
+    expanded by enumerating the divisors of each n.
 
-    lambert_chi_series(2k) is the cuspidal part of the weight 2k+1 member,
-    so they must agree after dropping the constant term.
+    With w = 2k it is the cuspidal part of the weight 2k+1 member; with
+    w = -2 it is series_f_prime.
     """
+    prec = 30
+
+    def lambert(w):
+        return [
+            sum(chi4(d) * Fraction(d) ** w for d in range(1, n + 1) if n % d == 0)
+            for n in range(1, prec)
+        ]
+
     for two_k in (0, 2, 4):
-        f = series_f(two_k + 1, 30)
-        assert f - f[0] == lambert_chi_series(two_k, 30)
-    assert series_f_prime(30) == lambert_chi_series(-2, 30)
+        assert list(series_f(two_k + 1, prec).coeffs[1:]) == lambert(two_k)
+    f_prime = series_f_prime(prec)
+    assert f_prime[0] == 0
+    assert list(f_prime.coeffs[1:]) == lambert(-2)
 
 
 def test_series_f_prime_coefficients():

@@ -82,6 +82,37 @@ def test_padic_digits_partial_sums_converge(x, p, count):
     assert vp(x - partial, p) >= floor + count
 
 
+def reference_padic_digits(x, p, count):
+    """The Fraction loop that padic_digits replaced: one vp call per digit."""
+    x = Fraction(x)
+    out = []
+    while x != 0 and len(out) < count:
+        v = vp(x, p)
+        unit = x / Fraction(p) ** v
+        d = unit.numerator * pow(unit.denominator, -1, p) % p
+        out.append((v, d))
+        x -= d * Fraction(p) ** v
+    return out
+
+
+@given(
+    st.fractions(max_denominator=10**12),
+    primes,
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=80),
+)
+def test_padic_digits_match_reference_loop(x, p, shift, count):
+    x *= Fraction(p) ** shift
+    assert padic_digits(x, p, count) == reference_padic_digits(x, p, count)
+
+
+def test_padic_digits_argument_checks():
+    with pytest.raises(ValueError):
+        padic_digits(Fraction(1, 3), 4, 3)
+    with pytest.raises(ValueError):
+        padic_digits(Fraction(1, 3), 2, 0)
+
+
 def test_lcm_upto():
     assert lcm_upto(1) == 1
     assert lcm_upto(6) == 60

@@ -30,6 +30,13 @@ def test_constructors_and_indexing():
     assert QSeries.zero(3).prec == 3
 
 
+def test_jets_are_unhashable():
+    """Equality ignores precision beyond the shorter jet, so no hash can agree."""
+    assert QSeries([1, 2]) == QSeries([1, 2, 3])
+    with pytest.raises(TypeError):
+        hash(QSeries.one(3))
+
+
 def test_mul_truncates_to_min_precision():
     a = QSeries([1, 1, 1, 1, 1])
     b = QSeries([1, -1])
