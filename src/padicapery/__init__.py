@@ -13,7 +13,6 @@ from .diophantine import (
     Certificate,
     CertificationReport,
     criterion_check,
-    resolve_sign,
     slope_empirical,
     theta_closed,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "padic_digits",
     "reexpand",
     "residual",
-    "resolve_sign",
     "run_canaries",
     "run_recurrence",
     "sequences",

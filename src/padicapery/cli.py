@@ -27,12 +27,7 @@ import json
 import sys
 
 from . import curves, recurrence
-from .diophantine import (
-    DEFAULT_THETA_REQUIRED,
-    DEFAULT_WINDOW,
-    criterion_check,
-    sign_probes,
-)
+from .diophantine import DEFAULT_THETA_REQUIRED, DEFAULT_WINDOW, criterion_check
 from .eisenstein import (
     series_e,
     series_e_prime,
@@ -56,6 +51,8 @@ _FORMS = ("e", "e-star", "e-prime", "evil", "f", "f-prime")
 # grows steeply with n (0.5 s at n = 16, 4 s at n = 32).
 _MAX_BITS = 2048
 _MAX_INDEX = 16
+# --weight reaches the even weights 2k and the odd weights 2k + 1 of the -k cap.
+_MAX_WEIGHT = 2 * _MAX_INDEX + 1
 
 
 def _real(value: float) -> str:
@@ -80,7 +77,10 @@ def _resolve_case(parser: argparse.ArgumentParser, family: str, k: int):
 
 
 def _check_cap(parser: argparse.ArgumentParser, count: int) -> None:
-    cap = max_terms_cap()
+    try:
+        cap = max_terms_cap()
+    except ValueError as exc:
+        parser.error(str(exc))
     if count > cap:
         parser.error(
             f"{count} terms exceeds the cap of {cap}; "
@@ -113,6 +113,8 @@ def _cmd_series(parser, args) -> int:
             parser.error(f"--p does not apply to form {args.form}")
         if args.weight is None and args.form != "f-prime":
             parser.error("--weight is required for this form")
+        if args.weight is not None:
+            _check_size(parser, "--weight", args.weight, _MAX_WEIGHT)
         try:
             if args.form == "e":
                 series = series_e(args.weight, prec)
@@ -205,17 +207,11 @@ def _cmd_certify(parser, args) -> int:
     config = _resolve_case(parser, args.case, args.k)
     table = sequences(config, count)
     eta = None
-    try:
-        if config.family.oracle is not None:
-            # A window without two usable rows is a usage error: find out
-            # before paying for the oracle.
-            sign_probes(table, window)
-            eta = _evaluate_oracle(config.family, config.k, args.bits)
-        report = criterion_check(
-            config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
-        )
-    except ValueError as exc:
-        parser.error(f"--window {window[0]} {window[1]}: {exc}")
+    if config.family.oracle is not None:
+        eta = _evaluate_oracle(config.family, config.k, args.bits)
+    report = criterion_check(
+        config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
+    )
     lines = []
     for cert in report.certificates:
         lines.append(
@@ -301,7 +297,10 @@ def _cmd_recurrence(parser, args) -> int:
         }
         code = 0 if not violations_a and not violations_b else 1
     else:
-        fitted = recurrence.fit_recurrence(table.b_list(), spec.order, spec.degree)
+        try:
+            fitted = recurrence.fit_recurrence(table.b_list(), spec.order, spec.degree)
+        except ValueError as exc:
+            parser.error(f"-n {args.count}: {exc}")
         payload = {
             "case": config.case_id,
             "coeff_polys": [list(poly) for poly in fitted.coeff_polys],
@@ -370,6 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Table entries and oracle representatives outgrow Python's default
+    # 4300-digit limit on int -> str (3.11+, backported to 3.10.7), which
+    # would end a finished computation in a traceback when printed.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

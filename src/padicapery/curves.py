@@ -5,8 +5,8 @@ expansion of the local uniformizer f = q + O(q^2), the builders of the weight
 series and its antiderivative that get re-expanded in f, how the weight grows
 with the index k, the (v, e) exponents that feed the closed-form witness
 exponent, the sign that reconciles the re-expansion output with the published
-b-list, the canaries, the recurrence and the oracle.  A case is a family at one
-index k.
+b-list (and so fixes the sign of the limit), the canaries, the recurrence and
+the oracle.  A case is a family at one index k.
 
 Two exact q-expansion identities act as canaries for the whole catalog: the
 logarithmic derivative theta(f)/f must equal a known power of a multiple of
@@ -157,16 +157,17 @@ def check_log_derivative(config: CaseConfig, prec: int = 16) -> Fraction:
     """Verify theta(f)/f = (mu * w)^r for the family's k = 1 weight series w
     and return mu.
 
-    For the zeta families r = 1 and w = E*_2, with mu = 24, 12, 6 for
-    p = 2, 3, 5.  The Catalan weight series has weight one, so the identity
-    there is against its square: r = 2 and mu = 4.
+    Since f = q + O(q^2), theta(f)/f starts at 1, so mu = 1/|w_0|.  For the
+    zeta families r = 1 and w = E*_2, with mu = 24, 12, 6 for p = 2, 3, 5.
+    The Catalan weight series has weight one, so the identity there is
+    against its square: r = 2 and mu = 4.
     """
     record = config.family
     f = uniformizer_series(config, prec + 1)
     lhs = f.theta().shift_down(1) * f.shift_down(1).invert()
     w = record.series(record.p, record.weight_step, prec)
     r = record.canary_power
-    mu = _rational_root(lhs[0] / w[0] ** r, r)
+    mu = 1 / abs(w[0]) if w[0] else None
     if mu is None or (mu * w) ** r != lhs:
         raise IdentityError(
             f"theta(f)/f is not the power {r} of a multiple of the weight-"
@@ -175,48 +176,23 @@ def check_log_derivative(config: CaseConfig, prec: int = 16) -> Fraction:
     return mu
 
 
-def _integer_nth_root(n: int, k: int) -> int | None:
-    """Exact k-th root of a nonnegative integer, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1):
-        return n
-    r = int(round(n ** (1.0 / k)))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
-
-
-def _rational_root(x: Fraction, k: int) -> Fraction | None:
-    """Exact nonnegative k-th root of a nonnegative rational, or None."""
-    num = _integer_nth_root(x.numerator, k)
-    den = _integer_nth_root(x.denominator, k)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 def check_elliptic_identity(prec: int = 16) -> Fraction:
     """Genus-zero relation for the 2-adic zeta case.
 
     With f = q prod (1+q^n)^24 and the normalized weight-2 series
-    Etilde = mu E*_2, the curve satisfies Etilde^6 / Delta = (1+2^6 f)^3 / f.
-    Both sides are multiplied by f, so the comparison happens between honest
-    power series: Etilde^6 * (f/Delta) = (1 + 64 f)^3.  Returns mu (= 24).
+    Etilde = mu E*_2, mu = 1/|E*_2(0)|, the curve satisfies
+    Etilde^6 / Delta = (1+2^6 f)^3 / f.  Both sides are multiplied by f, so
+    the comparison happens between honest power series:
+    Etilde^6 * (f/Delta) = (1 + 64 f)^3.  Returns mu (= 24).
     """
     f = uniformizer_series(catalog("zeta-p2"), prec)
     # f/Delta = prod ((1+q^n)/(1-q^n))^24, constant term 1
     ratio = expand_product(ProductRecipe(0, ((1, 1, 24), (-1, 1, -24))), prec)
-    estar6 = series_e_star(2, 2, prec) ** 6
-    lhs = estar6 * ratio
+    estar = series_e_star(2, 2, prec)
     rhs = (QSeries.one(prec) + 64 * f) ** 3
-    scale = rhs[0] / lhs[0]
-    if lhs * scale != rhs:
+    mu = 1 / abs(estar[0]) if estar[0] else None
+    if mu is None or (mu * estar) ** 6 * ratio != rhs:
         raise IdentityError("elliptic identity fails for zeta-p2")
-    mu = _rational_root(scale, 6)
-    if mu is None:
-        raise IdentityError("elliptic identity scale is not a sixth power")
     return mu
 
 

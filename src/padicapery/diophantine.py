@@ -100,39 +100,6 @@ class CertificationReport:
         return sum(1 for cert in self.certificates if cert.certified)
 
 
-def sign_probes(table: SequenceTable, window: tuple[int, int]) -> list[int]:
-    """The first two usable (non-degenerate) rows of the window, on which the
-    sign of the limit is decided; ValueError if the window has fewer."""
-    probes: list[int] = []
-    for n in range(window[0], min(window[1] + 1, table.count)):
-        if not table.rows[n].degenerate:
-            probes.append(n)
-        if len(probes) == 2:
-            break
-    if len(probes) < 2:
-        raise ValueError("window has fewer than two usable rows")
-    return probes
-
-
-def resolve_sign(
-    table: SequenceTable, eta: PadicValue, window: tuple[int, int]
-) -> int:
-    """Choose the sign s with vp(eta - s * p_n/q_n) growing along the window.
-
-    The wrong sign leaves the valuation pinned near vp(2 * eta); the right
-    one tracks the table's convergence.  Decided on the rows of
-    ``sign_probes``.
-    """
-    probes = sign_probes(table, window)
-    scores = {}
-    for sign in (1, -1):
-        gaps = [vp(eta.representative - sign * table.ratio(n), eta.p) for n in probes]
-        scores[sign] = tuple(min(g, eta.agreement_exponent) for g in reversed(gaps))
-    if scores[1] == scores[-1]:
-        raise ValueError("sign of the limit is not resolved by the window")
-    return max(scores, key=scores.get)
-
-
 def criterion_check(
     config: CaseConfig,
     table: SequenceTable,
@@ -142,52 +109,40 @@ def criterion_check(
 ) -> CertificationReport:
     """Run the finite-range criterion over a window of rows.
 
-    With no oracle value (eta is None) every row is reported uncertified
-    and the verdict falls back to the closed-form exponent alone.
+    The sign of the limit is fixed by the construction: H = sum (A_n +
+    eta B_n) f^n and the table's b-list is sign_b * B, so the rows
+    approximate eta by -sign_b * p_n/q_n.  With no oracle value (eta is
+    None) every row is reported uncertified, with no sign, and the verdict
+    falls back to the closed-form exponent alone.
     """
     asymptotic = theta_closed(config)
     p = config.family.p
-    sign = None
+    sign = exponent = None
     if eta is not None:
         if eta.p != p:
             raise ValueError("oracle prime does not match the case")
-        sign = resolve_sign(table, eta, window)
+        sign = -config.family.sign_b
+        exponent = eta.agreement_exponent
     certificates = []
     for n in range(window[0], min(window[1] + 1, table.count)):
-        row = table.rows[n]
-        if row.degenerate:
+        if table.rows[n].degenerate:
             continue
         ratio = table.ratio(n)
         log_max = log_size(max(abs(ratio.numerator), ratio.denominator, 1))
-        if eta is None:
-            certificates.append(
-                Certificate(
-                    case_id=table.case_id,
-                    n=n,
-                    p_n=ratio.numerator,
-                    q_n=ratio.denominator,
-                    valuation_gap=None,
-                    log_max_size=log_max,
-                    implied_exponent=None,
-                    sign=None,
-                    oracle_exponent=None,
-                    certified=False,
-                    passed=None,
-                )
-            )
-            continue
-        gap = vp(eta.representative - sign * ratio, eta.p)
-        certified = gap < eta.agreement_exponent
-        clamped = int(min(gap, eta.agreement_exponent))
-        if log_max > 0:
-            implied = clamped * math.log(p) / log_max
-        else:
-            implied = math.inf if clamped > 0 else 0.0
-        passed = None
-        if certified:
-            passed = clamped * math.log(p) >= (
-                theta_required - _GUARD
-            ) * log_max
+        clamped = implied = passed = None
+        certified = False
+        if eta is not None:
+            gap = vp(eta.representative - sign * ratio, p)
+            certified = gap < exponent
+            clamped = int(min(gap, exponent))
+            if log_max > 0:
+                implied = clamped * math.log(p) / log_max
+            else:
+                implied = math.inf if clamped > 0 else 0.0
+            if certified:
+                passed = clamped * math.log(p) >= (
+                    theta_required - _GUARD
+                ) * log_max
         certificates.append(
             Certificate(
                 case_id=table.case_id,
@@ -198,7 +153,7 @@ def criterion_check(
                 log_max_size=log_max,
                 implied_exponent=implied,
                 sign=sign,
-                oracle_exponent=eta.agreement_exponent,
+                oracle_exponent=exponent,
                 certified=certified,
                 passed=passed,
             )

@@ -109,7 +109,6 @@ class SequenceRow:
 class SequenceTable:
     case_id: str
     count: int
-    sign_b: int
     rows: tuple[SequenceRow, ...]
 
     def a_list(self) -> list[Fraction]:
@@ -151,12 +150,7 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
             ratio = 2 * a / b
             p_n, q_n = ratio.numerator, ratio.denominator
         rows.append(SequenceRow(n=n, a=a, b=b, p_n=p_n, q_n=q_n))
-    return SequenceTable(
-        case_id=config.case_id,
-        count=count,
-        sign_b=family.sign_b,
-        rows=tuple(rows),
-    )
+    return SequenceTable(case_id=config.case_id, count=count, rows=tuple(rows))
 
 
 class IntegralityError(AssertionError):

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -180,30 +183,36 @@ def test_certify_window_rows(capsys):
     assert [row["n"] for row in rows[:-1]] == [4, 5, 6]
 
 
-def test_certify_window_without_two_rows_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["certify", "--case", "zeta-p2", "--bits", "20", "--window", "0", "0"])
-    assert err.value.code == 2
-    assert "fewer than two usable rows" in capsys.readouterr().err
-
-
 def test_certify_rejects_window_before_evaluating_oracle(capsys, monkeypatch):
     def oracle_must_not_run(*args):
         raise AssertionError("the oracle ran for an unusable window")
 
     monkeypatch.setattr(cli, "zeta_p_oracle", oracle_must_not_run)
     with pytest.raises(SystemExit) as err:
-        main(["certify", "--case", "zeta-p2", "--bits", "200", "--window", "0", "0"])
+        main(["certify", "--case", "zeta-p2", "--bits", "200", "--window", "5", "3"])
     assert err.value.code == 2
-    assert "fewer than two usable rows" in capsys.readouterr().err
+    assert "--window needs 0 <= LO <= HI" in capsys.readouterr().err
 
 
-def test_certify_without_oracle_accepts_one_row_window(capsys):
-    code, out, _ = run_cli(capsys, "certify", "--case", "zeta-p5", "--window", "0", "0")
+@pytest.mark.parametrize(
+    "family,k",
+    [("zeta-p2", 1), ("zeta-p2", 2), ("zeta-p3", 1), ("zeta-p5", 1), ("catalan-p2", 1)],
+)
+def test_certify_accepts_one_row_window(family, k, capsys):
+    """The sign comes from the construction, so one row is enough; row 0
+    (p_0/q_0 = 0) fails the criterion wherever an oracle certifies it."""
+    code, out, _ = run_cli(
+        capsys, "certify", "--case", family, "-k", str(k), "--window", "0", "0"
+    )
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    assert rows[-1]["verdict"] == "WITNESS_FAIL"
-    assert rows[-1]["rows"] == 1
+    summary = rows[-1]
+    assert summary["verdict"] == "WITNESS_FAIL"
+    assert summary["rows"] == 1
+    has_oracle = summary["oracle_bits"] is not None
+    assert summary["certified_rows"] == int(has_oracle)
+    sign = -cli.curves.FAMILY_TABLE[family].sign_b
+    assert summary["sign"] == (sign if has_oracle else None)
 
 
 # sha256 of `certify --case FAMILY -n 40 --window 3 39 --bits 200` stdout,
@@ -356,6 +365,7 @@ def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
         ("certify --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
         ("sequences --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
         ("series --case zeta-p2 -k 1000000", "-k 1000000 exceeds the cap of 16"),
+        ("series --form e --weight 34", "--weight 34 exceeds the cap of 33"),
     ],
 )
 def test_size_caps_are_usage_errors(argv, message, capsys, monkeypatch):
@@ -406,9 +416,6 @@ def test_unknown_command_is_usage_error():
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     result = subprocess.run(
         [sys.executable, "-m", "padicapery", "oracle", "--target", "zeta-p2",
          "--bits", "20", "--digits", "3"],
@@ -418,3 +425,45 @@ def test_module_entry_point():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["target"] == "zeta-p2"
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        ({"PADICAPERY_MAX_TERMS": "abc"}, "sequences --case zeta-p2",
+         "PADICAPERY_MAX_TERMS must be an integer"),
+        ({"PADICAPERY_MAX_TERMS": "0"}, "series --case zeta-p3",
+         "PADICAPERY_MAX_TERMS must be >= 1"),
+        ({}, "recurrence fit -n 10",
+         "-n 10: not enough sequence values for this order and degree"),
+        ({}, "series --form e --weight 34 --prec 2", "--weight 34 exceeds the cap of 33"),
+    ],
+    ids=["max-terms-abc", "max-terms-0", "fit-n10", "weight-34"],
+)
+def test_usage_errors_exit_two_without_traceback(env, argv, message):
+    result = subprocess.run(
+        [sys.executable, "-m", "padicapery", *argv.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.endswith(f"error: {message}\n")
+
+
+def test_integers_past_the_str_digit_limit_print(capsys):
+    """Entries of zeta-p2 k=16 reach 964 digits by n = 64; the CLI lifts
+    Python's int -> str digit limit instead of dying after the computation."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int -> str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(
+            capsys, "sequences", "--case", "zeta-p2", "-k", "16", "-n", "64"
+        )
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, err) == (0, "")
+    assert max(len(field) for field in out.replace("\n", ",").split(",")) > 640

@@ -6,12 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padicapery.curves import catalog
-from padicapery.diophantine import (
-    criterion_check,
-    resolve_sign,
-    slope_empirical,
-    theta_closed,
-)
+from padicapery.diophantine import criterion_check, slope_empirical, theta_closed
 from padicapery.exactnum import vp
 from padicapery.expansion import sequences
 from padicapery.oracle import PadicValue, catalan_2adic_oracle, zeta_p_oracle
@@ -56,11 +51,41 @@ def test_slope_requires_enough_points():
         slope_empirical(table, 2, (1, 2))
 
 
-def test_resolve_sign_per_case():
-    table2 = sequences(catalog("zeta-p2"), 8)
-    assert resolve_sign(table2, zeta_p_oracle(2, 1, 30), (3, 7)) == -1
-    tablec = sequences(catalog("catalan-p2"), 8)
-    assert resolve_sign(tablec, catalan_2adic_oracle(30), (3, 7)) == 1
+def reference_resolve_sign(table, eta, window):
+    """The sign s with vp(eta - s * p_n/q_n) growing along the window, read
+    off the first two usable rows: the search the criterion used before the
+    sign was taken from the construction."""
+    probes = [
+        n for n in range(window[0], min(window[1] + 1, table.count))
+        if not table.rows[n].degenerate
+    ][:2]
+    assert len(probes) == 2
+    scores = {}
+    for sign in (1, -1):
+        gaps = [vp(eta.representative - sign * table.ratio(n), eta.p) for n in probes]
+        scores[sign] = tuple(min(g, eta.agreement_exponent) for g in reversed(gaps))
+    assert scores[1] != scores[-1]
+    return max(scores, key=scores.get)
+
+
+@pytest.mark.parametrize(
+    "family,k",
+    [("zeta-p2", k) for k in (1, 2, 8, 16)]
+    + [("zeta-p3", k) for k in (1, 2, 8, 16)]
+    + [("catalan-p2", 1)],
+)
+def test_construction_sign_matches_search(family, k):
+    """The rows approximate the limit by -sign_b * p_n/q_n: the old search
+    agrees, and the criterion reports that sign."""
+    config = catalog(family, k)
+    table = sequences(config, 14)
+    if family == "catalan-p2":
+        eta = catalan_2adic_oracle(60)
+    else:
+        eta = zeta_p_oracle(config.family.p, k, 60)
+    expected = -config.family.sign_b
+    assert reference_resolve_sign(table, eta, (3, 13)) == expected
+    assert criterion_check(config, table, eta, window=(3, 13)).sign == expected
 
 
 def test_criterion_passes_for_zeta_p2():

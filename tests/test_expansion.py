@@ -200,12 +200,7 @@ def test_integrality_catches_bad_row():
     rows = list(table.rows)
     bad = rows[3]
     rows[3] = type(bad)(n=3, a=bad.a, b=Fraction(1, 2), p_n=bad.p_n, q_n=bad.q_n)
-    broken = SequenceTable(
-        case_id=table.case_id,
-        count=table.count,
-        sign_b=table.sign_b,
-        rows=tuple(rows),
-    )
+    broken = SequenceTable(case_id=table.case_id, count=table.count, rows=tuple(rows))
     with pytest.raises(IntegralityError):
         check_integrality(broken, config)
 
