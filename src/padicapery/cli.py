@@ -45,7 +45,15 @@ _ORACLE_FAMILIES = {
 _RECURRENCE_CASES = tuple(
     name for name, family in curves.FAMILY_TABLE.items() if family.recurrence is not None
 )
-_FORMS = ("e", "e-star", "e-prime", "evil", "f", "f-prime")
+# form -> (takes --p, takes --weight, builder(p, weight, prec))
+_FORMS = {
+    "e": (False, True, lambda p, weight, prec: series_e(weight, prec)),
+    "e-star": (True, True, lambda p, weight, prec: series_e_star(p, weight, prec)),
+    "e-prime": (True, True, lambda p, weight, prec: series_e_prime(p, weight, prec)),
+    "evil": (True, True, lambda p, weight, prec: series_evil(p, weight, prec)),
+    "f": (False, True, lambda p, weight, prec: series_f(weight, prec)),
+    "f-prime": (False, False, lambda p, weight, prec: series_f_prime(prec)),
+}
 # Caps on the size arguments that do not count terms.  At 2048 digits the
 # slowest oracle (p = 3) takes under a second; the Newton cross-check at p = 2
 # grows steeply with n (0.5 s at n = 16, 4 s at n = 32).
@@ -103,31 +111,23 @@ def _cmd_series(parser, args) -> int:
     prec = args.prec
     _check_cap(parser, prec)
     if args.case is not None:
-        config = _resolve_case(parser, args.case, args.k)
-        series = curves.uniformizer_series(config, prec)
+        if args.p is not None or args.weight is not None:
+            parser.error("--p and --weight do not apply to --case")
+        series = curves.uniformizer_series(curves.catalog(args.case), prec)
     else:
-        needs_p = args.form in ("e-star", "e-prime", "evil")
-        if needs_p and args.p is None:
-            parser.error(f"--p is required for form {args.form}")
-        if not needs_p and args.p is not None:
-            parser.error(f"--p does not apply to form {args.form}")
-        if args.weight is None and args.form != "f-prime":
-            parser.error("--weight is required for this form")
-        if args.weight is not None:
+        takes_p, takes_weight, build = _FORMS[args.form]
+        for flag, value, takes in (
+            ("--p", args.p, takes_p),
+            ("--weight", args.weight, takes_weight),
+        ):
+            if takes and value is None:
+                parser.error(f"{flag} is required for form {args.form}")
+            if not takes and value is not None:
+                parser.error(f"{flag} does not apply to form {args.form}")
+        if takes_weight:
             _check_size(parser, "--weight", args.weight, _MAX_WEIGHT)
         try:
-            if args.form == "e":
-                series = series_e(args.weight, prec)
-            elif args.form == "e-star":
-                series = series_e_star(args.p, args.weight, prec)
-            elif args.form == "e-prime":
-                series = series_e_prime(args.p, args.weight, prec)
-            elif args.form == "evil":
-                series = series_evil(args.p, args.weight, prec)
-            elif args.form == "f":
-                series = series_f(args.weight, prec)
-            else:
-                series = series_f_prime(prec)
+            series = build(args.p, args.weight, prec)
         except ValueError as exc:
             parser.error(str(exc))
     lines = [f"{n} {series[n]}" for n in range(series.prec)]
@@ -201,6 +201,7 @@ def _cmd_certify(parser, args) -> int:
     window = tuple(args.window)
     if window[0] < 0 or window[1] < window[0]:
         parser.error("--window needs 0 <= LO <= HI")
+    _check_cap(parser, args.count)
     count = max(args.count, window[1] + 1)
     _check_cap(parser, count)
     _check_size(parser, "--bits", args.bits, _MAX_BITS)
@@ -325,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="print q-expansion coefficients")
     p_series.add_argument("--form", choices=_FORMS)
     p_series.add_argument("--case", choices=curves.FAMILIES)
-    p_series.add_argument("-k", type=int, default=1)
     p_series.add_argument("--weight", type=int)
     p_series.add_argument("--p", type=int)
     p_series.add_argument("--prec", type=int, default=8)

@@ -70,7 +70,6 @@ class Family:
     antiderivative: Callable[[int, int, int], QSeries] = (
         lambda p, weight, prec: eisenstein.series_e_prime(p, weight, prec)
     )
-    canary_power: int = 1       # r in theta(f)/f = (mu * w)^r
     elliptic_canary: bool = False
     recurrence: RecurrenceSpec | None = None
 
@@ -92,9 +91,8 @@ _TABLE = (
         Fraction(3), Fraction(3, 2), oracle=None,
     ),
     # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8.  The
-    # weight series F_1 has weight one, so the log-derivative identity is
-    # against its square.  The published table negates the b-list: its b_0
-    # is -1 while the normalized constant term is +1.
+    # published table negates the b-list: its b_0 is -1 while the normalized
+    # constant term is +1.
     Family(
         "catalan-p2", 2, ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
         Fraction(8), Fraction(4), oracle="catalan",
@@ -103,7 +101,6 @@ _TABLE = (
         fixed_k=True,
         series=lambda p, weight, prec: series_f(weight, prec),
         antiderivative=lambda p, weight, prec: eisenstein.series_f_prime(prec),
-        canary_power=2,
         recurrence=catalan_recurrence(),
     ),
 )
@@ -157,18 +154,19 @@ def check_log_derivative(config: CaseConfig, prec: int = 16) -> Fraction:
     """Verify theta(f)/f = (mu * w)^r for the family's k = 1 weight series w
     and return mu.
 
-    Since f = q + O(q^2), theta(f)/f starts at 1, so mu = 1/|w_0|.  For the
-    zeta families r = 1 and w = E*_2, with mu = 24, 12, 6 for p = 2, 3, 5.
-    The Catalan weight series has weight one, so the identity there is
-    against its square: r = 2 and mu = 4.
+    theta(f)/f has weight 2, so r = 2 / weight_step: r = 1 and w = E*_2 for
+    the zeta families, with mu = 24, 12, 6 for p = 2, 3, 5, and r = 2 against
+    the weight-one Catalan series, with mu = 4.  Since f = q + O(q^2),
+    theta(f)/f starts at 1, so mu = 1/|w_0|.  Like check_elliptic_identity,
+    the comparison is multiplied through by f: theta(f) = f * (mu * w)^r, with
+    f and w to prec + 1 terms, checks the quotient to prec terms.
     """
     record = config.family
     f = uniformizer_series(config, prec + 1)
-    lhs = f.theta().shift_down(1) * f.shift_down(1).invert()
-    w = record.series(record.p, record.weight_step, prec)
-    r = record.canary_power
+    w = record.series(record.p, record.weight_step, prec + 1)
+    r = 2 // record.weight_step
     mu = 1 / abs(w[0]) if w[0] else None
-    if mu is None or (mu * w) ** r != lhs:
+    if mu is None or f * (mu * w) ** r != f.theta():
         raise IdentityError(
             f"theta(f)/f is not the power {r} of a multiple of the weight-"
             f"{record.weight_step} series for {config.case_id}"

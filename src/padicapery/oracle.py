@@ -103,7 +103,10 @@ def _modulus(p: int, t: int) -> int:
 
 
 def _stride_exponent(p: int, n: int) -> int:
-    """Smallest usable t: the default per prime, raised until M > 2n."""
+    """Smallest usable t: the default per prime, raised until M > 2n: the first
+    node M - 2n must be a positive weight, and -2n not 0 mod M, the class of
+    the pole of zeta_p, where differences do not shrink (at p = 2, n = 8,
+    M = 16, nodes 16, 32, ... keep valuations -11 to -5 for 64 nodes)."""
     t = _STRIDE_EXPONENT[p]
     while _modulus(p, t) <= 2 * n:
         t += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 __all__ = ["DEFAULT_PREC", "QSeries", "ProductRecipe", "expand_product"]
@@ -113,7 +114,7 @@ class QSeries:
 
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
-            raise ValueError("negative powers: call invert() explicitly")
+            raise ValueError("negative powers are not supported")
         out = QSeries.one(self.prec)
         base = self
         while e:
@@ -122,21 +123,6 @@ class QSeries:
             base = base * base if e > 1 else base
             e >>= 1
         return out
-
-    def invert(self) -> "QSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ValueError("series with zero constant term has no inverse")
-        inv0 = 1 / a[0]
-        out = [inv0] + [Fraction(0)] * (self.prec - 1)
-        for n in range(1, self.prec):
-            s = Fraction(0)
-            for i in range(1, n + 1):
-                if a[i]:
-                    s += a[i] * out[n - i]
-            out[n] = -inv0 * s
-        return QSeries(out)
 
     # -- operators specific to q-expansions ---------------------------------
 
@@ -155,22 +141,15 @@ class QSeries:
             out[i * k] = c
         return QSeries(out)
 
-    def shift_down(self, k: int) -> "QSeries":
-        """Divide by q**k; the first k coefficients must vanish."""
-        if k < 0 or k >= self.prec:
-            raise ValueError("shift amount out of range")
-        if any(self.coeffs[:k]):
-            raise ValueError("series is not divisible by q**%d" % k)
-        return QSeries(self.coeffs[k:])
-
 
 @dataclass(frozen=True)
 class ProductRecipe:
     """q**leading_power * prod over factors (sign, stride, exponent) of
     prod_{n>=1} (1 + sign * q**(stride*n)) ** exponent.
 
-    Signs are +-1, strides positive, exponents any integer (negative exponents
-    expand through the generalized binomial series, which stays integral).
+    Signs are +-1, strides positive, exponents any integer.  Every factor is a
+    power of 1 + O(q) with integer coefficients (for a negative exponent, the
+    generalized binomial series), so the product is integral.
     """
 
     leading_power: int
@@ -188,40 +167,25 @@ class ProductRecipe:
                 raise ValueError("factor exponent must be an integer")
 
 
-def _mul_binomial_factor(acc: list[int], sign: int, m: int, e: int) -> list[int]:
-    # acc *= (1 + sign q^m)^e, truncated to len(acc).  The binomial
-    # coefficients C(e, j) are integers for every integer e, and each running
-    # product coef * (e - j + 1) is j times one of them, so // is exact.
-    prec = len(acc)
-    terms: list[tuple[int, int]] = []
-    coef = 1
-    j = 1
-    while m * j < prec:
-        coef = coef * (e - j + 1) // j
-        terms.append((m * j, coef * sign**j))
-        j += 1
-    if not terms:
-        return acc
-    out = list(acc)
-    for off, c in terms:
-        if not c:
-            continue
-        for i in range(prec - off):
-            if acc[i]:
-                out[i + off] += c * acc[i]
-    return out
-
-
 def expand_product(recipe: ProductRecipe, prec: int) -> QSeries:
-    """Expand an eta-like infinite product to the requested precision."""
+    """Expand an eta-like infinite product to the requested precision.
+
+    The product P (without its leading power of q) is built from its
+    logarithmic derivative theta(P)/P = sum c_N q^N.  A factor
+    (1 + sign * q^d)^e adds -e * d * (-sign)^r to c_{d*r}, so c is one divisor
+    sieve over the factors; then N P_N = sum_{j=1..N} c_j P_{N-j}, P_0 = 1.
+    """
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    acc = [0] * prec
-    if recipe.leading_power < prec:
-        acc[recipe.leading_power] = 1
+    size = prec - recipe.leading_power
+    c = [0] * size
     for sign, stride, exponent in recipe.factors:
-        n = 1
-        while stride * n < prec:
-            acc = _mul_binomial_factor(acc, sign, stride * n, exponent)
-            n += 1
-    return QSeries(acc)
+        for d in range(stride, size, stride):
+            for n in range(d, size, d):
+                c[n] -= exponent * d * (-sign) ** (n // d)
+    coeffs = [1]
+    for n in range(1, size):
+        # P has integer coefficients (see ProductRecipe), so the sum is n
+        # times one of them and // is exact.
+        coeffs.append(sum(map(mul, c[1 : n + 1], reversed(coeffs))) // n)
+    return QSeries([0] * recipe.leading_power + coeffs, prec)

@@ -86,6 +86,25 @@ def test_series_bytes_match_reference(form, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[form]
 
 
+# sha256 of `series --case FAMILY --prec 256` stdout, recorded with the
+# factor-by-factor binomial product that the logarithmic-derivative build
+# replaced.
+UNIFORMIZER_DIGESTS = {
+    "zeta-p2": "21b61854a21796f265af4629225d37823139a5a501212863afbc76916a0676d5",
+    "zeta-p3": "e193759b270133f7ae2cbfa2e92075bfb5b2fa1405a656095629197b032f99d8",
+    "zeta-p5": "049699bbc9108fb0d5658cb3eb0f2a60309a41f3bcd7d97dbdfa3c2a04898805",
+    "catalan-p2": "d0261f1c297e4addb591625a722cc545238ccbfaf3fba0bbd4748bec752616e0",
+}
+
+
+@pytest.mark.parametrize("family", sorted(UNIFORMIZER_DIGESTS))
+def test_uniformizer_bytes_match_reference(family, capsys, monkeypatch):
+    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "256")
+    code, out, err = run_cli(capsys, "series", "--case", family, "--prec", "256")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == UNIFORMIZER_DIGESTS[family]
+
+
 def test_series_prec_is_capped(monkeypatch):
     def refuse(*args):
         raise AssertionError("a capped request must not compute anything")
@@ -364,7 +383,7 @@ def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
         ("certify --case zeta-p2 --bits 100000", "--bits 100000 exceeds the cap of 2048"),
         ("certify --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
         ("sequences --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
-        ("series --case zeta-p2 -k 1000000", "-k 1000000 exceeds the cap of 16"),
+        ("series --case zeta-p2 -k 1000000", "unrecognized arguments: -k 1000000"),
         ("series --form e --weight 34", "--weight 34 exceeds the cap of 33"),
     ],
 )
@@ -437,8 +456,17 @@ def test_module_entry_point():
         ({}, "recurrence fit -n 10",
          "-n 10: not enough sequence values for this order and degree"),
         ({}, "series --form e --weight 34 --prec 2", "--weight 34 exceeds the cap of 33"),
+        ({}, "series --case zeta-p2 --p 3 --weight 99",
+         "--p and --weight do not apply to --case"),
+        ({}, "series --case catalan-p2 --weight 1", "--p and --weight do not apply to --case"),
+        ({}, "series --form f-prime --weight 7", "--weight does not apply to form f-prime"),
+        ({}, "certify --case zeta-p2 -n -5", "term count must be positive"),
+        ({}, "certify --case catalan-p2 -n 0", "term count must be positive"),
     ],
-    ids=["max-terms-abc", "max-terms-0", "fit-n10", "weight-34"],
+    ids=[
+        "max-terms-abc", "max-terms-0", "fit-n10", "weight-34", "series-case-p-weight",
+        "series-case-weight", "f-prime-weight", "certify-n-negative", "certify-n-0",
+    ],
 )
 def test_usage_errors_exit_two_without_traceback(env, argv, message):
     result = subprocess.run(

@@ -84,22 +84,29 @@ def test_run_canaries_all_cases():
     [("zeta-p2", 1), ("zeta-p2", 2), ("zeta-p3", 1), ("zeta-p5", 1), ("catalan-p2", 1)],
 )
 def test_canary_detects_corruption(monkeypatch, family, k):
-    """A wrong uniformizer must trip the log-derivative canary, on the
-    squared (Catalan) path as well as the linear (zeta) one."""
+    """A wrong uniformizer or a wrong weight series must trip the
+    log-derivative canary, on the squared (Catalan) path as well as the
+    linear (zeta) one: the product form theta(f) = f * (mu * w)^r sees both
+    sides."""
     import padicapery.curves as curves_module
 
     config = catalog(family, k)
-    good = curves_module.uniformizer_series
+    weight_series = "series_f" if family == "catalan-p2" else "series_e_star"
 
-    def bad(cfg, prec):
-        series = good(cfg, prec)
-        coeffs = list(series.coeffs)
-        if len(coeffs) > 3:
-            coeffs[3] += 1
-        return QSeries(coeffs)
+    def corrupted(good):
+        def bad(*args):
+            coeffs = list(good(*args).coeffs)
+            if len(coeffs) > 3:
+                coeffs[3] += 1
+            return QSeries(coeffs)
 
-    monkeypatch.setattr(curves_module, "uniformizer_series", bad)
-    with pytest.raises(IdentityError):
+        return bad
+
+    for side in ("uniformizer_series", weight_series):
+        with monkeypatch.context() as patch:
+            patch.setattr(curves_module, side, corrupted(getattr(curves_module, side)))
+            with pytest.raises(IdentityError):
+                check_log_derivative(config)
         check_log_derivative(config)
 
 

@@ -18,10 +18,6 @@ def short_series(min_prec: int = 1, max_prec: int = 7):
     return st.lists(coeffs, min_size=min_prec, max_size=max_prec).map(QSeries)
 
 
-def geometric(prec: int) -> QSeries:
-    return QSeries([Fraction(1)] * prec)
-
-
 def test_constructors_and_indexing():
     one = QSeries.one(5)
     assert one[0] == 1 and one[4] == 0
@@ -43,18 +39,6 @@ def test_mul_truncates_to_min_precision():
     product = a * b
     assert product.prec == 2
     assert [product[i] for i in range(2)] == [1, 0]
-
-
-def test_invert_geometric_series():
-    g = geometric(8)
-    inv = g.invert()
-    assert [inv[i] for i in range(8)] == [1, -1, 0, 0, 0, 0, 0, 0]
-    assert (g * inv) == QSeries.one(8)
-
-
-def test_invert_requires_unit_constant():
-    with pytest.raises(ValueError):
-        QSeries.gen(4).invert()
 
 
 @given(short_series(), short_series(), short_series())
@@ -79,15 +63,11 @@ def test_theta_multiplies_by_n():
     assert [t[i] for i in range(4)] == [0, 1, 4, 9]
 
 
-def test_substitute_q_power_and_shift_down():
+def test_substitute_q_power():
     s = QSeries([1, 2, 3, 4])
     doubled = s.substitute_q_power(2)
     assert doubled.prec == 4
     assert [doubled[i] for i in range(4)] == [1, 0, 2, 0]
-    shifted = QSeries([0, 0, 5, 6]).shift_down(2)
-    assert [shifted[i] for i in range(2)] == [5, 6]
-    with pytest.raises(ValueError):
-        QSeries([1, 2]).shift_down(1)
 
 
 def _binomial_factor_oracle(sign: int, stride: int, exponent: int, prec: int) -> QSeries:
@@ -138,6 +118,7 @@ def test_expand_product_leading_power_and_validation():
     series = expand_product(recipe, 6)
     assert series[0] == 0 and series[1] == 0 and series[2] == 1
     assert series[3] == 2
+    assert expand_product(ProductRecipe(7, ((1, 1, 2),)), 6) == QSeries.zero(6)
     with pytest.raises(ValueError):
         ProductRecipe(0, ((2, 1, 1),))
     with pytest.raises(ValueError):
