@@ -39,9 +39,7 @@ from .eisenstein import (
 from .expansion import max_terms_cap, sequences
 from .oracle import OracleInconsistency, catalan_2adic_oracle, zeta_p_oracle
 
-_ORACLE_FAMILIES = {
-    family.oracle: family for family in curves.FAMILY_TABLE.values() if family.oracle
-}
+_ORACLE_FAMILIES = {family.oracle: family for family in curves.FAMILY_TABLE.values()}
 _RECURRENCE_CASES = tuple(
     name for name, family in curves.FAMILY_TABLE.items() if family.recurrence is not None
 )
@@ -54,9 +52,13 @@ _FORMS = {
     "f": (False, True, lambda p, weight, prec: series_f(weight, prec)),
     "f-prime": (False, False, lambda p, weight, prec: series_f_prime(prec)),
 }
-# Caps on the size arguments that do not count terms.  At 2048 digits the
-# slowest oracle (p = 3) takes under a second; the Newton cross-check at p = 2
-# grows steeply with n (0.5 s at n = 16, 4 s at n = 32).
+# Caps on the size arguments that do not count terms (times on a 2-vCPU
+# Xeon).  At 2048 digits the slowest oracle is p = 5, about 2 s: its m + 1
+# series sums 100 units at F = 125 modulo 5^2068 (p = 3: 0.4 s).  The Newton
+# check grows with n: 0.5 s at n = 16 for p = 2, and about 5 s for p = 5 at
+# n = 10, where t = 1 would put -20 in the pole class, so M = 100 and the
+# nodes reach weight 3680 (every other n <= 16: at most 1.2 s).  Both at
+# once, n = 10 at 2048 digits, take about 8 s, the slowest op in the caps.
 _MAX_BITS = 2048
 _MAX_INDEX = 16
 # --weight reaches the even weights 2k and the odd weights 2k + 1 of the -k cap.
@@ -207,9 +209,7 @@ def _cmd_certify(parser, args) -> int:
     _check_size(parser, "--bits", args.bits, _MAX_BITS)
     config = _resolve_case(parser, args.case, args.k)
     table = sequences(config, count)
-    eta = None
-    if config.family.oracle is not None:
-        eta = _evaluate_oracle(config.family, config.k, args.bits)
+    eta = _evaluate_oracle(config.family, config.k, args.bits)
     report = criterion_check(
         config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
     )
@@ -220,9 +220,7 @@ def _cmd_certify(parser, args) -> int:
                 {
                     "case": cert.case_id,
                     "certified": cert.certified,
-                    "implied_exponent": None
-                    if cert.implied_exponent is None
-                    else _real(cert.implied_exponent),
+                    "implied_exponent": _real(cert.implied_exponent),
                     "log_max_size": _real(cert.log_max_size),
                     "n": cert.n,
                     "p_n": str(cert.p_n),
@@ -239,7 +237,7 @@ def _cmd_certify(parser, args) -> int:
             {
                 "case": report.case_id,
                 "certified_rows": report.certified_rows,
-                "oracle_bits": None if eta is None else eta.agreement_exponent,
+                "oracle_bits": eta.agreement_exponent,
                 "rows": len(report.certificates),
                 "sign": report.sign,
                 "theta_closed": _real(report.theta_closed),

@@ -60,7 +60,7 @@ class Family:
     recipe: ProductRecipe       # the uniformizer f = q + O(q^2)
     v: Fraction                 # valuation growth exponent
     e: Fraction                 # Archimedean growth exponent
-    oracle: str | None          # the CLI's oracle target for the limit, if any
+    oracle: str                 # the CLI's oracle target for the limit
     sign_b: int = 1             # published b-list = sign_b * [f^n](lam * w)
     weight_step: int = 2        # the weight series has weight weight_step * k
     fixed_k: bool = False       # the family has no weight parameter: k = 1
@@ -88,7 +88,7 @@ _TABLE = (
     # (Delta(5 tau)/Delta(tau))^(1/4) = q prod ((1-q^{5n})/(1-q^n))^6
     Family(
         "zeta-p5", 5, ProductRecipe(1, ((-1, 5, 6), (-1, 1, -6))),
-        Fraction(3), Fraction(3, 2), oracle=None,
+        Fraction(3), Fraction(3, 2), oracle="zeta-p5",
     ),
     # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8.  The
     # published table negates the b-list: its b_0 is -1 while the normalized

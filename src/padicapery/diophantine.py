@@ -77,11 +77,11 @@ class Certificate:
     n: int
     p_n: int
     q_n: int
-    valuation_gap: int | None
+    valuation_gap: int
     log_max_size: float
-    implied_exponent: float | None
-    sign: int | None
-    oracle_exponent: int | None
+    implied_exponent: float
+    sign: int
+    oracle_exponent: int
     certified: bool
     passed: bool | None
 
@@ -91,7 +91,7 @@ class CertificationReport:
     case_id: str
     theta_closed: float
     theta_required: float
-    sign: int | None
+    sign: int
     verdict: str
     certificates: tuple[Certificate, ...]
 
@@ -103,7 +103,7 @@ class CertificationReport:
 def criterion_check(
     config: CaseConfig,
     table: SequenceTable,
-    eta: PadicValue | None,
+    eta: PadicValue,
     theta_required: float = DEFAULT_THETA_REQUIRED,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> CertificationReport:
@@ -111,38 +111,30 @@ def criterion_check(
 
     The sign of the limit is fixed by the construction: H = sum (A_n +
     eta B_n) f^n and the table's b-list is sign_b * B, so the rows
-    approximate eta by -sign_b * p_n/q_n.  With no oracle value (eta is
-    None) every row is reported uncertified, with no sign, and the verdict
-    falls back to the closed-form exponent alone.
+    approximate eta by -sign_b * p_n/q_n.
     """
     asymptotic = theta_closed(config)
     p = config.family.p
-    sign = exponent = None
-    if eta is not None:
-        if eta.p != p:
-            raise ValueError("oracle prime does not match the case")
-        sign = -config.family.sign_b
-        exponent = eta.agreement_exponent
+    if eta.p != p:
+        raise ValueError("oracle prime does not match the case")
+    sign = -config.family.sign_b
+    exponent = eta.agreement_exponent
     certificates = []
     for n in range(window[0], min(window[1] + 1, table.count)):
         if table.rows[n].degenerate:
             continue
         ratio = table.ratio(n)
         log_max = log_size(max(abs(ratio.numerator), ratio.denominator, 1))
-        clamped = implied = passed = None
-        certified = False
-        if eta is not None:
-            gap = vp(eta.representative - sign * ratio, p)
-            certified = gap < exponent
-            clamped = int(min(gap, exponent))
-            if log_max > 0:
-                implied = clamped * math.log(p) / log_max
-            else:
-                implied = math.inf if clamped > 0 else 0.0
-            if certified:
-                passed = clamped * math.log(p) >= (
-                    theta_required - _GUARD
-                ) * log_max
+        gap = vp(eta.representative - sign * ratio, p)
+        certified = gap < exponent
+        clamped = int(min(gap, exponent))
+        if log_max > 0:
+            implied = clamped * math.log(p) / log_max
+        else:
+            implied = math.inf if clamped > 0 else 0.0
+        passed = None
+        if certified:
+            passed = clamped * math.log(p) >= (theta_required - _GUARD) * log_max
         certificates.append(
             Certificate(
                 case_id=table.case_id,

@@ -1,11 +1,12 @@
 """Independent p-adic evaluation of the limits the sequence tables approach.
 
-The special values targeted by the approximant tables are values of the
-Kubota-Leopoldt p-adic L-function with trivial character:
+The special values targeted by the approximant tables are values of
+Kubota-Leopoldt p-adic L-functions:
 
-* ``zeta_p_oracle(p, n)`` evaluates ``L_p(2n + 1)`` on the branch
-  ``<a>^(-2n) = a^(-2n)``, the p-adic limit of ``(1 - p**(2k-1)) *
-  zeta(1 - 2k)`` as the even weight ``2k`` tends to ``-2n`` in Z_p.
+* ``zeta_p_oracle(p, n)`` evaluates ``zeta_p(2n + 1) = L_p(2n + 1,
+  omega^(-2n))``, the p-adic limit of ``(1 - p**(2k-1)) * zeta(1 - 2k)`` as
+  the even weight ``2k`` tends to ``-2n`` in Z_p along ``2k = -2n`` mod
+  ``p - 1``.
 * ``catalan_2adic_oracle()`` evaluates ``L_2(2)``, the 2-adic Catalan
   constant: the 2-adic limit of ``L(-2k, chi4) = E_{2k} / 2`` as ``2k``
   tends to ``-2``.
@@ -13,12 +14,14 @@ Kubota-Leopoldt p-adic L-function with trivial character:
 The main strategy is the series of Washington, *Cyclotomic Fields*
 (GTM 83), Thm 5.11: with ``F = p**m`` (``4 | F`` when ``p = 2``),
 
-    L_p(s) = 1/((s-1) F) * sum_{1 <= a <= F, p !| a} w(a)
+    L_p(s, chi) = 1/((s-1) F) * sum_{1 <= a <= F, p !| a} w(a)
                  * sum_j binom(1-s, j) (F/a)^j B_j        (B_1 = -1/2),
 
-with ``w(a) = <a>^(1-s) = omega(a)^(s-1) a^(1-s)``; the Teichmuller
-character omega is chi4 for p = 2 and +-1 for p = 3, so ``w(a) = a^(-2n)``
-for zeta and ``chi4(a)/a`` for Catalan.  By von
+with ``w(a) = chi(a) <a>^(1-s) = chi(a) omega(a)^(s-1) a^(1-s)`` and omega
+the Teichmuller character.  For zeta ``chi = omega^(-2n)`` cancels omega's
+factor, so ``w(a) = a^(-2n)`` at every p; ``omega^(-2n)`` is trivial for
+p = 2 and 3 but is ``(a/5)^n`` for p = 5.  The Catalan value has trivial
+chi, and omega is chi4 for p = 2, so ``w(a) = chi4(a)/a``.  By von
 Staudt-Clausen ``p * B_j`` is p-integral, so the sum times ``p`` is a
 p-adic integer, summed here in Python ``int``s modulo ``p**K``; term ``j``
 has valuation at least ``j*m``.  Truncating at ``j <= J`` therefore leaves
@@ -43,17 +46,14 @@ from typing import Callable
 # module (such as perfbench's tracer) sees the series' indices too.
 from . import eisenstein
 from .eisenstein import chi4, l_chi4_neg, zeta_star
-from .exactnum import INFINITY, padic_digits, vp
+from .exactnum import INFINITY, _require_prime, padic_digits, vp
 
-# m in F = p**m for the series; its cross-check runs at m + 1.
-_SERIES_M = {2: 3, 3: 2}
 # Digits certified beyond the request.  A row is certified only while its
 # valuation gap is below the oracle's exponent, and at 40 digits some rows of
 # the default windows already have gaps of 43.
 _SLACK = 16
 # Precision of the Newton cross-check; its node weights grow with the digits.
 _NEWTON_BITS = 40
-_STRIDE_EXPONENT = {2: 4, 3: 2}
 _MIN_POINTS = 4
 _MAX_POINTS = 64
 _EXACT_HIT_MARGIN = 64
@@ -76,8 +76,10 @@ class PadicValue:
     p: int
 
     def digits(self, count: int = 10) -> list[tuple[int, int]]:
-        """Leading canonical digits of the representative."""
-        return padic_digits(self.representative, self.p, count)
+        """Leading canonical digits of the representative that lie below
+        the agreement exponent: the ones past it are not certified."""
+        pairs = padic_digits(self.representative, self.p, count)
+        return [pair for pair in pairs if pair[0] < self.agreement_exponent]
 
     def combine(self, other: "PadicValue") -> "PadicValue":
         """Merge two approximations of the same number.
@@ -103,12 +105,13 @@ def _modulus(p: int, t: int) -> int:
 
 
 def _stride_exponent(p: int, n: int) -> int:
-    """Smallest usable t: the default per prime, raised until M > 2n: the first
-    node M - 2n must be a positive weight, and -2n not 0 mod M, the class of
-    the pole of zeta_p, where differences do not shrink (at p = 2, n = 8,
-    M = 16, nodes 16, 32, ... keep valuations -11 to -5 for 64 nodes)."""
-    t = _STRIDE_EXPONENT[p]
-    while _modulus(p, t) <= 2 * n:
+    """Least t with M = (p - 1) * p**t >= 16, the spacing the cross-check is
+    sized for, and M > 2n: the first node M - 2n must be a positive weight,
+    and -2n not 0 mod M, the class of the pole of zeta_p, where differences
+    do not shrink (at p = 2, n = 8, M = 16, nodes 16, 32, ... keep
+    valuations -11 to -5 for 64 nodes)."""
+    t = 0
+    while _modulus(p, t) <= max(15, 2 * n):
         t += 1
     return t
 
@@ -169,16 +172,18 @@ def _series_limit(
 ) -> PadicValue:
     """L_p(s) by the Washington series at F = p**m, certified to `exponent`.
 
-    ``twist(a)`` is omega(a)**(s - 1), so that w(a) = twist(a) * a**(1 - s).
-    The inner sum times p is summed modulo p**K with terms j <= J, where K
-    and (J + 1) * m both reach ``exponent`` plus the valuation lost to
-    1 / (p (s - 1) F).
+    ``twist(a)`` is chi(a) * omega(a)**(s - 1), so that w(a) = twist(a) *
+    a**(1 - s).  The inner sum times p is summed modulo p**K with terms
+    j <= J, where K and (J + 1) * m both reach ``exponent`` plus the
+    valuation lost to 1 / (p (s - 1) F).
     """
     f = p**m
     precision = exponent + 1 + m + vp(s_minus_1, p)
     modulus = p**precision
     top = -(-precision // m) - 1
-    # coefficients[k] = binom(1-s, 2k) p B_2k; odd j > 1 have B_j = 0.
+    # (binom(1-s, j) p B_j, p**(precision - j m)) for even j (odd j > 1 have
+    # B_j = 0); term j has valuation j m, so Horner needs the sum from term j
+    # on only modulo the second entry.
     coefficients = []
     linear = 0
     binomial = 1
@@ -188,9 +193,8 @@ def _series_limit(
         if j == 1:
             linear = _residue(Fraction(-p * binomial, 2), modulus)
         elif j % 2 == 0:
-            coefficients.append(
-                _residue(p * binomial * eisenstein.bernoulli(j), modulus)
-            )
+            residue = _residue(p * binomial * eisenstein.bernoulli(j), modulus)
+            coefficients.append((residue, p ** (precision - j * m)))
     total = 0
     for a in range(1, f + 1):
         if a % p == 0:
@@ -198,8 +202,8 @@ def _series_limit(
         x = f * pow(a, -1, modulus) % modulus
         y = x * x % modulus
         inner = 0
-        for coefficient in reversed(coefficients):
-            inner = (inner * y + coefficient) % modulus
+        for coefficient, reduced in reversed(coefficients):
+            inner = (inner * y + coefficient) % reduced
         total += twist(a) * pow(a, -s_minus_1, modulus) * (inner + linear * x)
     return PadicValue(Fraction(total % modulus, p * s_minus_1 * f), exponent, p)
 
@@ -216,7 +220,8 @@ def _oracle(
     the next m and the Newton limit of g have agreed with it."""
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
-    m = _SERIES_M[p]
+    # The least m with F = p**m >= 8, which makes 4 | F at p = 2.
+    m = next(k for k in range(1, 4) if p**k >= 8)
     exponent = target_bits + _SLACK
     value = _series_limit(twist, p, s_minus_1, m, exponent)
     value.combine(_series_limit(twist, p, s_minus_1, m + 1, exponent))
@@ -228,14 +233,14 @@ def _oracle(
 
 
 def zeta_p_oracle(p: int, n: int = 1, target_bits: int = 40) -> PadicValue:
-    """The p-adic zeta value L_p(2n + 1), for p in {2, 3}.
+    """The p-adic zeta value zeta_p(2n + 1) = L_p(2n + 1, omega^(-2n)).
 
     Returns a rational representative of the limit of
-    ``(1 - p**(2k-1)) * zeta(1 - 2k)`` as ``2k -> -2n`` in Z_p, together
-    with a proven agreement exponent of ``target_bits + _SLACK``.
+    ``(1 - p**(2k-1)) * zeta(1 - 2k)`` as ``2k -> -2n`` in Z_p with
+    ``2k = -2n`` mod ``p - 1``, together with a proven agreement exponent of
+    ``target_bits + _SLACK``.
     """
-    if p not in _SERIES_M:
-        raise ValueError("oracle is implemented for p = 2 and p = 3 only")
+    _require_prime(p)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _oracle(

@@ -129,14 +129,20 @@ def test_criterion_exact_probe_is_uncertified():
         assert cert.valuation_gap == 25
 
 
-def test_criterion_without_oracle_reports_uncertified():
+def test_zeta_p5_rows_certify_at_the_prototype_gaps():
+    """The zeta-p5 rows converge to the series oracle with sign -1; the gaps
+    at n = 5, 10, 20, 40, 59 are those an independent Fraction prototype of
+    the p = 5 series gave.  Every row is certified and the verdict is an
+    honest failure, since the closed-form exponent 0.89 is below 1."""
     config = catalog("zeta-p5")
-    table = sequences(config, 12)
-    report = criterion_check(config, table, None)
-    assert report.sign is None
+    table = sequences(config, 60)
+    eta = zeta_p_oracle(5, 1, 600)
+    report = criterion_check(config, table, eta, window=(3, 59))
+    assert report.sign == -1
     assert report.verdict == "WITNESS_FAIL"
-    assert all(not cert.certified for cert in report.certificates)
-    assert all(cert.valuation_gap is None for cert in report.certificates)
+    assert report.certified_rows == len(report.certificates) == 57
+    gaps = {cert.n: cert.valuation_gap for cert in report.certificates}
+    assert [gaps[n] for n in (5, 10, 20, 40, 59)] == [10, 24, 52, 110, 167]
 
 
 def test_criterion_fail_verdict_for_heavier_weight():

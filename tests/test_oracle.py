@@ -35,7 +35,7 @@ def test_zeta_3_oracle_certifies_target():
 
 def test_oracle_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        zeta_p_oracle(5, 1)
+        zeta_p_oracle(4, 1)
     with pytest.raises(ValueError):
         zeta_p_oracle(2, 0)
     with pytest.raises(ValueError):
@@ -89,6 +89,38 @@ def test_nodes_use_correct_zeta_values():
     assert zeta_star(2, 14) == Fraction(8191, 12)
 
 
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 1)])
+def test_digits_stop_below_agreement_exponent(p, n):
+    """A representative whose denominator has a factor prime to p has an
+    endless expansion; only the digits below the agreement exponent are
+    certified, so only those are listed."""
+    value = zeta_p_oracle(p, n, 10)
+    digits = value.digits(100)
+    assert digits
+    assert all(exponent < value.agreement_exponent for exponent, _ in digits)
+    partial = sum(digit * Fraction(p) ** exponent for exponent, digit in digits)
+    assert vp(value.representative - partial, p) >= value.agreement_exponent
+
+
+@pytest.mark.parametrize(
+    "p, n, t", [(2, 1, 4), (2, 16, 6), (3, 1, 2), (3, 16, 3), (5, 1, 1), (5, 10, 2)]
+)
+def test_stride_exponent(p, n, t):
+    """The least t with (p - 1) * p**t >= 16 and > 2n."""
+    assert oracle._stride_exponent(p, n) == t
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 11])
+def test_p5_newton_cross_check_reaches_40_digits(n):
+    """The cross-check must not fall short silently: at p = 5 it reaches the
+    40 digits it is asked for, at M = 20 (n <= 9) and at M = 100."""
+    modulus = oracle._modulus(5, oracle._stride_exponent(5, n))
+    newton = oracle._interpolated_limit(lambda k: zeta_star(5, k), 5, modulus, n, 40)
+    assert newton.agreement_exponent >= 40
+    series = zeta_p_oracle(5, n, 40)
+    assert vp(series.representative - newton.representative, 5) >= 40
+
+
 def test_digits_reproduce_representative_prefix():
     value = catalan_2adic_oracle(36)
     partial = Fraction(0)
@@ -103,6 +135,8 @@ ORACLES = {
     "zeta-p2 n=2": (2, lambda bits: zeta_p_oracle(2, 2, bits)),
     "zeta-p3": (3, lambda bits: zeta_p_oracle(3, 1, bits)),
     "zeta-p3 n=2": (3, lambda bits: zeta_p_oracle(3, 2, bits)),
+    "zeta-p5": (5, lambda bits: zeta_p_oracle(5, 1, bits)),
+    "zeta-p5 n=2": (5, lambda bits: zeta_p_oracle(5, 2, bits)),
     "catalan": (2, catalan_2adic_oracle),
 }
 
@@ -112,6 +146,7 @@ ORACLES = {
     [
         ("zeta-p2", lambda k: zeta_star(2, k), 203),
         ("zeta-p3", lambda k: zeta_star(3, k), 151),
+        ("zeta-p5", lambda k: zeta_star(5, k), 124),
         ("catalan", l_chi4_neg, 201),
     ],
 )
@@ -136,7 +171,7 @@ def test_oracle_never_over_claims(target, bits):
     assert agreement >= shallow.agreement_exponent
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_wrong_bernoulli_number_is_an_inconsistency(p, monkeypatch):
     """A bad table entry moves the series at F = p**m and F = p**(m+1) apart."""
     real = eisenstein.bernoulli
@@ -149,6 +184,6 @@ def test_wrong_bernoulli_number_is_an_inconsistency(p, monkeypatch):
         zeta_p_oracle(p, 1, 200)
 
 
-@pytest.mark.parametrize("target", ["catalan", "zeta-p2", "zeta-p3"])
+@pytest.mark.parametrize("target", ["catalan", "zeta-p2", "zeta-p3", "zeta-p5"])
 def test_oracle_meets_1500_digit_request(target):
     assert ORACLES[target][1](1500).agreement_exponent >= 1500
