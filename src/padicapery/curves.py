@@ -18,9 +18,8 @@ downstream is trustworthy then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import eisenstein
 from .eisenstein import series_e_star, series_f
@@ -45,8 +44,7 @@ class IdentityError(AssertionError):
     """An internal q-expansion identity failed: abort, the build is wrong."""
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything one case family fixes.
 
     The defaults describe the zeta families: the p-deprived series E*_2k of
@@ -109,8 +107,7 @@ FAMILY_TABLE = {family.name: family for family in _TABLE}
 FAMILIES = tuple(FAMILY_TABLE)
 
 
-@dataclass(frozen=True)
-class CaseConfig:
+class CaseConfig(NamedTuple):
     case_id: str
     family: Family
     k: int

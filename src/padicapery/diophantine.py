@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import CaseConfig
 from .exactnum import log_size, vp
@@ -45,7 +45,7 @@ def slope_empirical(
     """Least-squares slope of n -> vp(a_n b_{n+1} - a_{n+1} b_n).
 
     The cross-differences of a healthy table gain p-adic digits linearly;
-    the slope is the per-step gain and should match v/2 asymptotically.
+    the slope is the per-step gain and should match the family's v.
     """
     lo, hi = window
     xs: list[int] = []
@@ -64,8 +64,7 @@ def slope_empirical(
     return statistics.linear_regression(xs, ys).slope
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of the criterion at a single row.
 
     ``valuation_gap`` is vp(eta - sign * p_n/q_n) clamped at the oracle's
@@ -86,8 +85,7 @@ class Certificate:
     passed: bool | None
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     case_id: str
     theta_closed: float
     theta_required: float

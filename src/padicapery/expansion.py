@@ -10,9 +10,8 @@ sign of the b-list.  The quantity approximated is the reduced ratio 2 a_n / b_n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from typing import NamedTuple
 
 from . import curves
 from .exactnum import lcm_upto
@@ -66,9 +65,7 @@ def reexpand(
         raise ValueError("re-expansion needs a uniformizer with integer coefficients")
     # f = q + sum_j c_j q^j over the nonzero c_j with j >= 2.
     tail = [(j, c.numerator) for j, c in enumerate(f.coeffs[2:count], 2) if c]
-    dens = [lcm(*(c.denominator for c in s.coeffs[:count])) for s in hs]
-    rems = [[c.numerator * (d // c.denominator) for c in s.coeffs[:count]]
-            for s, d in zip(hs, dens)]
+    rems, dens = zip(*(s.numerators(count) for s in hs))
     fpow = [1] + [0] * (count - 1)  # f^m; entries below q^m are stale
     out = []
     for m in range(count):
@@ -92,8 +89,7 @@ def reexpand(
     return out
 
 
-@dataclass(frozen=True)
-class SequenceRow:
+class SequenceRow(NamedTuple):
     n: int
     a: Fraction
     b: Fraction
@@ -105,8 +101,7 @@ class SequenceRow:
         return self.p_n is None
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(NamedTuple):
     case_id: str
     count: int
     rows: tuple[SequenceRow, ...]

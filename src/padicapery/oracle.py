@@ -38,9 +38,8 @@ sums stabilise p-adically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # eisenstein.bernoulli is looked up per call, so a wrapper installed on the
 # module (such as perfbench's tracer) sees the series' indices too.
@@ -63,8 +62,7 @@ class OracleInconsistency(AssertionError):
     """Two evaluations that must agree p-adically disagree."""
 
 
-@dataclass(frozen=True)
-class PadicValue:
+class PadicValue(NamedTuple):
     """A rational representative of a p-adic number with a trust radius.
 
     ``representative`` agrees with the underlying p-adic number at least

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable
 
@@ -59,6 +60,13 @@ class QSeries:
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
 
+    def numerators(self, n: int) -> tuple[list[int], int]:
+        """The first n coefficients as integers over the lcm d of their
+        denominators, and d."""
+        cs = self.coeffs[:n]
+        d = lcm(*(c.denominator for c in cs))
+        return [c.numerator * (d // c.denominator) for c in cs], d
+
     def __eq__(self, other) -> bool:
         # Jets agree when they agree on every index both sides can see.  That
         # is not transitive across precisions, so jets define no __hash__.
@@ -98,9 +106,11 @@ class QSeries:
         if isinstance(other, _Scalar):
             c = Fraction(other)
             return QSeries([a * c for a in self.coeffs])
+        # Integer convolution: one gcd per output coefficient, not per term.
         n = min(self.prec, other.prec)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * n
+        a, da = self.numerators(n)
+        b, db = other.numerators(n)
+        out = [0] * n
         for i in range(n):
             ai = a[i]
             if ai:
@@ -108,7 +118,8 @@ class QSeries:
                     bj = b[j]
                     if bj:
                         out[i + j] += ai * bj
-        return QSeries(out)
+        den = da * db
+        return QSeries([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 

@@ -45,6 +45,16 @@ def test_slope_windows():
     assert 7 <= slope_empirical(tablec, 2, (5, 24)) <= 9
 
 
+@pytest.mark.parametrize("family", ["zeta-p2", "zeta-p3", "zeta-p5", "catalan-p2"])
+def test_slope_matches_valuation_exponent(family):
+    """The cross-differences gain v p-adic digits per row, not v/2: at n = 26
+    the default window reads 11.919, 6.034, 3.086 and 7.946."""
+    config = catalog(family)
+    table = sequences(config, 26)
+    slope = slope_empirical(table, config.family.p)
+    assert abs(slope - config.family.v) < 0.25
+
+
 def test_slope_requires_enough_points():
     table = sequences(catalog("zeta-p2"), 5)
     with pytest.raises(ValueError):
@@ -160,3 +170,27 @@ def test_criterion_rejects_mismatched_prime():
     with pytest.raises(ValueError):
         criterion_check(config, table, zeta_p_oracle(2, 1, 20))
 
+
+def test_records_are_immutable_named_records():
+    """The pipeline's records reject field assignment and print as
+    Name(field=value, ...)."""
+    config = catalog("zeta-p2")
+    table = sequences(config, 8)
+    eta = PadicValue(Fraction(0), 5, 2)
+    report = criterion_check(config, table, eta, window=(3, 7))
+    records = (
+        (config.family, "p"),
+        (config, "k"),
+        (table.rows[0], "b"),
+        (table, "count"),
+        (report.certificates[0], "valuation_gap"),
+        (report, "verdict"),
+        (eta, "agreement_exponent"),
+    )
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert table.count == 8
+    assert repr(PadicValue(Fraction(1, 2), 3, 2)) == (
+        "PadicValue(representative=Fraction(1, 2), agreement_exponent=3, p=2)"
+    )

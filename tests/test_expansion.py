@@ -121,6 +121,26 @@ def test_sequences_bytes_match_reference(family, k, monkeypatch, capsys):
     assert digest == SEQUENCES_N96_SHA256[family, k]
 
 
+# sha256 of `sequences --case FAMILY -k K -n 128 --format csv` stdout, recorded
+# before the QSeries product moved to integers over a common denominator.
+SEQUENCES_N128_SHA256 = {
+    ("zeta-p2", 1): "027377a3b83b691ae1ea54b7b47d3e811514b121f08630702bd7376db04121fa",
+    ("zeta-p2", 2): "298162d0e7a0c78a79ab63718b377ffa7bdd5db99e845967ac0d1f626c19e3ce",
+    ("zeta-p3", 1): "1ea730a0444d6ae7009e7a5900af950a17a65de2991211f7534d3687d5aaa9b7",
+    ("zeta-p5", 1): "64c4282ae950b166220035a951013b3db0bf066032fde2f9cb73af7ab24c106b",
+    ("catalan-p2", 1): "5ae5761ea3248e22e1e53d05147d8196b018ba798846a92c93923e9a7641dcbe",
+}
+
+
+@pytest.mark.parametrize("family,k", ALL_CASES)
+def test_sequences_n128_bytes_match_reference(family, k, monkeypatch, capsys):
+    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "128")
+    argv = ["sequences", "--case", family, "-k", str(k), "-n", "128", "--format", "csv"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SEQUENCES_N128_SHA256[family, k]
+
+
 @pytest.mark.parametrize("family,k", ALL_CASES)
 def test_tables_recompose_to_weight_series(family, k):
     """sum_m c_m f^m, computed in plain series arithmetic, reproduces both

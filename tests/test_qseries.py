@@ -138,6 +138,46 @@ def test_truncation_commutes_with_square(a, k):
     assert QSeries((a * a).coeffs[:k]) == small * small
 
 
+def reference_product(a, b):
+    """The truncated product as a plain Fraction convolution."""
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += Fraction(a[i]) * Fraction(b[j])
+    return out
+
+
+# Zeros, negatives, coprime prime denominators and numerators and
+# denominators far past a machine word.
+product_coeffs = st.one_of(
+    st.just(0),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    coeffs,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-50, max_value=50),
+        st.sampled_from([2, 3, 5, 7, 11, 13, 2**61 - 1, 10**30 + 57]),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+    ),
+)
+
+
+@given(
+    st.lists(product_coeffs, min_size=1, max_size=12),
+    st.lists(product_coeffs, min_size=1, max_size=12),
+)
+def test_mul_matches_fraction_convolution(a, b):
+    product = QSeries(a) * QSeries(b)
+    assert product.prec == min(len(a), len(b))
+    assert list(product.coeffs) == reference_product(a, b)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
 def test_binomial_coefficients_in_negative_power():
     # (1+q^7)^-3 contributes comb(4,2) at q^14, (1+q^14)^-3 contributes -3
     series = expand_product(ProductRecipe(0, ((1, 7, -3),)), 15)
