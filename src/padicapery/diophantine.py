@@ -19,7 +19,6 @@ not eta, and is reported as uncertified rather than passed.
 from __future__ import annotations
 
 import math
-import statistics
 from typing import NamedTuple
 
 from .curves import CaseConfig
@@ -47,6 +46,10 @@ def slope_empirical(
     The cross-differences of a healthy table gain p-adic digits linearly;
     the slope is the per-step gain and should match the family's v.
     """
+    # Imported here: no CLI path calls this, and every CLI run pays for
+    # its imports.
+    import statistics
+
     lo, hi = window
     xs: list[int] = []
     ys: list[float] = []

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, and exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -452,6 +453,55 @@ def test_module_entry_point():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["target"] == "zeta-p2"
+
+
+def test_cli_import_leaves_out_statistics_and_csv():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, padicapery.cli; "
+         "print(sorted({'statistics', 'csv'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_main_freezes_the_heap(capsys):
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    try:
+        code, _, _ = run_cli(capsys, "series", "--case", "zeta-p2", "--prec", "3")
+        assert code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_output_file_holds_the_printed_bytes(tmp_path, capsys):
+    argv = ["sequences", "--case", "zeta-p2", "-n", "12", "--format", "json"]
+    _, printed, _ = run_cli(capsys, *argv)
+    target = tmp_path / "table.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "padicapery", *argv, "-o", str(target)],
+        capture_output=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    assert target.read_bytes() == printed.encode()
+
+
+def test_unwritable_output_exits_one_without_traceback(tmp_path):
+    target = tmp_path / "no-such-dir" / "x.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "padicapery", "sequences", "--case", "zeta-p2",
+         "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("i/o error: ")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize(
