@@ -22,7 +22,6 @@ from .expansion import (
     SequenceRow,
     SequenceTable,
     check_integrality,
-    max_terms_cap,
     reexpand,
     sequences,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "fit_recurrence",
     "lcm_upto",
     "log_size",
-    "max_terms_cap",
     "padic_digits",
     "reexpand",
     "residual",

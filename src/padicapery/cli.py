@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import sys
 
@@ -36,7 +35,7 @@ from .eisenstein import (
     series_f,
     series_f_prime,
 )
-from .expansion import max_terms_cap, sequences
+from .expansion import sequences
 from .oracle import OracleInconsistency, catalan_2adic_oracle, zeta_p_oracle
 
 _ORACLE_FAMILIES = {family.oracle: family for family in curves.FAMILY_TABLE.values()}
@@ -52,15 +51,17 @@ _FORMS = {
     "f": (False, True, lambda p, weight, prec: series_f(weight, prec)),
     "f-prime": (False, False, lambda p, weight, prec: series_f_prime(prec)),
 }
-# Caps on the size arguments that do not count terms (times on a 2-vCPU
-# Xeon).  At 2048 digits the slowest oracle is p = 5, about 2 s: its m + 1
-# series sums 100 units at F = 125 modulo 5^2068 (p = 3: 0.4 s).  The Newton
-# check grows with n: 0.5 s at n = 16 for p = 2, and about 5 s for p = 5 at
-# n = 10, where t = 1 would put -20 in the pole class, so M = 100 and the
-# nodes reach weight 3680 (every other n <= 16: at most 1.2 s).  Both at
-# once, n = 10 at 2048 digits, take about 8 s, the slowest op in the caps.
+# Caps on the size arguments.  The slowest op inside all of them is `certify
+# --case zeta-p5 -k 10 -n 256 --window 3 255 --bits 2048`, about 9 s in a fresh
+# process on a 2-vCPU Xeon (8.2 s at -n 64 --window 3 63), nearly all of it
+# the oracle: its Newton check at n = 10, where t = 1 would put -20 in the pole
+# class, so M = 100 and the nodes reach weight 3680, takes about 6 s, and the
+# p = 5 series at 2048 digits (100 units at F = 125 modulo 5^2068) about 2.5 s.
+# Terms cost less: at 256 of them, `certify --case zeta-p2 -k 16 --bits 2048`
+# takes 3.9 s and `sequences --case zeta-p2 -k 16` 1.4 s.
 _MAX_BITS = 2048
 _MAX_INDEX = 16
+_MAX_TERMS = 256
 # --weight reaches the even weights 2k and the odd weights 2k + 1 of the -k cap.
 _MAX_WEIGHT = 2 * _MAX_INDEX + 1
 
@@ -86,20 +87,6 @@ def _resolve_case(parser: argparse.ArgumentParser, family: str, k: int):
         parser.error(str(exc))
 
 
-def _check_cap(parser: argparse.ArgumentParser, count: int) -> None:
-    try:
-        cap = max_terms_cap()
-    except ValueError as exc:
-        parser.error(str(exc))
-    if count > cap:
-        parser.error(
-            f"{count} terms exceeds the cap of {cap}; "
-            "raise PADICAPERY_MAX_TERMS to allow more"
-        )
-    if count < 1:
-        parser.error("term count must be positive")
-
-
 def _check_size(parser: argparse.ArgumentParser, flag: str, value: int, cap: int) -> None:
     if value < 1:
         parser.error(f"{flag} must be positive")
@@ -111,7 +98,7 @@ def _cmd_series(parser, args) -> int:
     if (args.form is None) == (args.case is None):
         parser.error("exactly one of --form and --case is required")
     prec = args.prec
-    _check_cap(parser, prec)
+    _check_size(parser, "--prec", prec, _MAX_TERMS)
     if args.case is not None:
         if args.p is not None or args.weight is not None:
             parser.error("--p and --weight do not apply to --case")
@@ -137,47 +124,36 @@ def _cmd_series(parser, args) -> int:
     return 0
 
 
+_TABLE_HEADER = ("n", "a_num", "a_den", "b", "p_n", "q_n")
+
+
 def _table_rows(table):
-    rows = []
-    for row in table.rows:
-        rows.append(
-            {
-                "n": row.n,
-                "a_num": str(row.a.numerator),
-                "a_den": str(row.a.denominator),
-                "b": str(row.b),
-                "p_n": str(row.p_n) if row.p_n is not None else None,
-                "q_n": str(row.q_n) if row.q_n is not None else None,
-            }
-        )
-    return rows
+    """One tuple per row in _TABLE_HEADER order; p_n and q_n are None where
+    b_n = 0."""
+    return [
+        (row.n, str(row.a.numerator), str(row.a.denominator), str(row.b))
+        + ((None, None) if row.degenerate else (str(row.p_n), str(row.q_n)))
+        for row in table.rows
+    ]
 
 
 def _cmd_sequences(parser, args) -> int:
-    _check_cap(parser, args.count)
+    _check_size(parser, "-n", args.count, _MAX_TERMS)
     config = _resolve_case(parser, args.case, args.k)
-    table = sequences(config, args.count)
-    rows = _table_rows(table)
+    rows = _table_rows(sequences(config, args.count))
     if args.format == "json":
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        records = [dict(zip(_TABLE_HEADER, row)) for row in rows]
+        text = json.dumps(records, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["n", "a_num", "a_den", "b", "p_n", "q_n"])
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["a_num"], row["a_den"], row["b"], row["p_n"], row["q_n"]]
-            )
-        text = buffer.getvalue()
-    else:
-        lines = [
-            f"{row['n']} a={row['a_num']}/{row['a_den']} b={row['b']} "
-            f"p/q={row['p_n']}/{row['q_n']}"
-            for row in rows
-        ]
+        # Every field is a decimal integer or empty, so nothing needs quoting.
+        lines = [",".join(_TABLE_HEADER)]
+        lines += [",".join("" if f is None else str(f) for f in row) for row in rows]
         text = "\n".join(lines) + "\n"
+    else:
+        text = "".join(
+            f"{n} a={a_num}/{a_den} b={b} p/q={p_n}/{q_n}\n"
+            for n, a_num, a_den, b, p_n, q_n in rows
+        )
     _emit(text, args.output)
     return 0
 
@@ -205,9 +181,9 @@ def _cmd_certify(parser, args) -> int:
     window = tuple(args.window)
     if window[0] < 0 or window[1] < window[0]:
         parser.error("--window needs 0 <= LO <= HI")
-    _check_cap(parser, args.count)
+    _check_size(parser, "-n", args.count, _MAX_TERMS)
+    _check_size(parser, "--window rows", window[1] + 1, _MAX_TERMS)
     count = max(args.count, window[1] + 1)
-    _check_cap(parser, count)
     _check_size(parser, "--bits", args.bits, _MAX_BITS)
     config = _resolve_case(parser, args.case, args.k)
     table = sequences(config, count)
@@ -276,7 +252,7 @@ def _cmd_oracle(parser, args) -> int:
 
 
 def _cmd_recurrence(parser, args) -> int:
-    _check_cap(parser, args.count)
+    _check_size(parser, "-n", args.count, _MAX_TERMS)
     if args.count < 6:
         parser.error("-n must be at least 6 for a meaningful check")
     config = _resolve_case(parser, args.case, 1)

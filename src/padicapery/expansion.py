@@ -9,7 +9,6 @@ sign of the b-list.  The quantity approximated is the reduced ratio 2 a_n / b_n.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,25 +23,7 @@ __all__ = [
     "sequences",
     "IntegralityError",
     "check_integrality",
-    "max_terms_cap",
 ]
-
-#: Environment knob for the largest table the CLI will compute.
-MAX_TERMS_ENV = "PADICAPERY_MAX_TERMS"
-_DEFAULT_MAX_TERMS = 64
-
-
-def max_terms_cap() -> int:
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw is None:
-        return _DEFAULT_MAX_TERMS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_TERMS_ENV} must be an integer") from exc
-    if cap < 1:
-        raise ValueError(f"{MAX_TERMS_ENV} must be >= 1")
-    return cap
 
 
 def reexpand(

@@ -87,20 +87,15 @@ class QSeries:
         return QSeries([-c for c in self.coeffs])
 
     def __add__(self, other) -> "QSeries":
-        if isinstance(other, _Scalar):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return QSeries(cs)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         n = min(self.prec, other.prec)
         return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "QSeries":
-        return self + (-other if isinstance(other, QSeries) else -Fraction(other))
-
-    def __rsub__(self, other) -> "QSeries":
-        return -self + other
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, _Scalar):

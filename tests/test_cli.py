@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from padicapery import cli
+from padicapery import cli, curves
 from padicapery.cli import main
+from padicapery.curves import catalog
 from padicapery.oracle import OracleInconsistency, PadicValue
+from padicapery.recurrence import RecurrenceSpec
 
 
 def run_cli(capsys, *argv):
@@ -99,8 +101,7 @@ UNIFORMIZER_DIGESTS = {
 
 
 @pytest.mark.parametrize("family", sorted(UNIFORMIZER_DIGESTS))
-def test_uniformizer_bytes_match_reference(family, capsys, monkeypatch):
-    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "256")
+def test_uniformizer_bytes_match_reference(family, capsys):
     code, out, err = run_cli(capsys, "series", "--case", family, "--prec", "256")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == UNIFORMIZER_DIGESTS[family]
@@ -114,7 +115,7 @@ def test_series_prec_is_capped(monkeypatch):
     monkeypatch.setattr(cli.curves, "uniformizer_series", refuse)
     for argv in (
         ["series", "--form", "evil", "--weight", "4", "--p", "2", "--prec", str(10**11)],
-        ["series", "--case", "zeta-p2", "--prec", "65"],
+        ["series", "--case", "zeta-p2", "--prec", "257"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -143,15 +144,47 @@ def test_sequences_json_sorted_keys(capsys):
 
 def test_sequences_cap_is_usage_error():
     with pytest.raises(SystemExit) as err:
-        main(["sequences", "--case", "zeta-p2", "-n", "65"])
+        main(["sequences", "--case", "zeta-p2", "-n", "257"])
     assert err.value.code == 2
 
 
-def test_sequences_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "70")
+def test_sequences_env_cap(capsys):
+    """The term cap is a constant, not an environment setting: 65 rows print
+    without one."""
     code, out, _ = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "65")
     assert code == 0
     assert len(out.splitlines()) == 66
+
+
+def test_sequences_plain(capsys):
+    code, out, err = run_cli(
+        capsys, "sequences", "--case", "zeta-p2", "-n", "4", "--format", "plain"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "0 a=0/1 b=1 p/q=0/1\n"
+        "1 a=1/1 b=24 p/q=1/12\n"
+        "2 a=1/1 b=-552 p/q=-1/276\n"
+        "3 a=-8072/27 b=19392 p/q=-1009/32724\n"
+    )
+
+
+def test_degenerate_row_prints_null_and_empty_fields(capsys, monkeypatch):
+    """A row with b_n = 0 has no ratio: JSON shows null, CSV empty fields."""
+    table = cli.sequences(catalog("zeta-p2"), 3)
+    degenerate = table.rows[1]._replace(b=Fraction(0), p_n=None, q_n=None)
+    rows = (table.rows[0], degenerate, table.rows[2])
+    monkeypatch.setattr(cli, "sequences", lambda config, count: table._replace(rows=rows))
+    code, out, _ = run_cli(
+        capsys, "sequences", "--case", "zeta-p2", "-n", "3", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)[1] == {
+        "n": 1, "a_num": "1", "a_den": "1", "b": "0", "p_n": None, "q_n": None
+    }
+    code, out, _ = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "3")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,0,1,1,0,1", "1,1,1,0,,", "2,1,1,-552,-1,276"]
 
 
 def test_sequences_output_file(tmp_path, capsys):
@@ -394,6 +427,11 @@ def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
         ("sequences --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
         ("series --case zeta-p2 -k 1000000", "unrecognized arguments: -k 1000000"),
         ("series --form e --weight 34", "--weight 34 exceeds the cap of 33"),
+        ("series --case zeta-p2 --prec 257", "--prec 257 exceeds the cap of 256"),
+        ("sequences --case zeta-p2 -n 257", "-n 257 exceeds the cap of 256"),
+        ("certify --case zeta-p2 -n 257", "-n 257 exceeds the cap of 256"),
+        ("certify --case zeta-p2 --window 3 256", "--window rows 257 exceeds the cap of 256"),
+        ("recurrence verify -n 257", "-n 257 exceeds the cap of 256"),
     ],
 )
 def test_size_caps_are_usage_errors(argv, message, capsys, monkeypatch):
@@ -435,6 +473,32 @@ def test_recurrence_verify_and_fit(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["matches_builtin"] is True
+
+
+def test_recurrence_verify_exits_one_on_a_wrong_spec(capsys, monkeypatch):
+    family = curves.FAMILY_TABLE["catalan-p2"]
+    wrong = RecurrenceSpec(((1, 2, 1), (-4, 0, 32), (256, -512, 257)))
+    monkeypatch.setitem(curves.FAMILY_TABLE, "catalan-p2", family._replace(recurrence=wrong))
+    code, out, err = run_cli(capsys, "recurrence", "verify", "-n", "12")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["violations_b"] > 0
+    assert payload["coeff_polys"] == [[1, 2, 1], [-4, 0, 32], [256, -512, 257]]
+
+
+def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
+    """The zeta-p2 elliptic identity is the only canary that builds an
+    unshifted eta quotient (f/Delta); doubling it breaks that identity alone."""
+    build = curves.expand_product
+
+    def doubled_quotient(recipe, prec):
+        series = build(recipe, prec)
+        return series if recipe.leading_power else 2 * series
+
+    monkeypatch.setattr(curves, "expand_product", doubled_quotient)
+    code, out, err = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "3")
+    assert (code, out) == (1, "")
+    assert err == "identity check failed: elliptic identity fails for zeta-p2\n"
 
 
 def test_unknown_command_is_usage_error():
@@ -507,10 +571,8 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path):
 @pytest.mark.parametrize(
     "env, argv, message",
     [
-        ({"PADICAPERY_MAX_TERMS": "abc"}, "sequences --case zeta-p2",
-         "PADICAPERY_MAX_TERMS must be an integer"),
-        ({"PADICAPERY_MAX_TERMS": "0"}, "series --case zeta-p3",
-         "PADICAPERY_MAX_TERMS must be >= 1"),
+        ({"PADICAPERY_MAX_TERMS": "100000"}, "sequences --case zeta-p2 -n 257",
+         "-n 257 exceeds the cap of 256"),
         ({}, "recurrence fit -n 10",
          "-n 10: not enough sequence values for this order and degree"),
         ({}, "series --form e --weight 34 --prec 2", "--weight 34 exceeds the cap of 33"),
@@ -518,11 +580,11 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path):
          "--p and --weight do not apply to --case"),
         ({}, "series --case catalan-p2 --weight 1", "--p and --weight do not apply to --case"),
         ({}, "series --form f-prime --weight 7", "--weight does not apply to form f-prime"),
-        ({}, "certify --case zeta-p2 -n -5", "term count must be positive"),
-        ({}, "certify --case catalan-p2 -n 0", "term count must be positive"),
+        ({}, "certify --case zeta-p2 -n -5", "-n must be positive"),
+        ({}, "certify --case catalan-p2 -n 0", "-n must be positive"),
     ],
     ids=[
-        "max-terms-abc", "max-terms-0", "fit-n10", "weight-34", "series-case-p-weight",
+        "old-cap-variable-ignored", "fit-n10", "weight-34", "series-case-p-weight",
         "series-case-weight", "f-prime-weight", "certify-n-negative", "certify-n-0",
     ],
 )

@@ -125,6 +125,18 @@ def test_criterion_clamps_at_oracle_radius():
         assert cert.valuation_gap == eta.agreement_exponent
 
 
+def test_criterion_skips_a_degenerate_row():
+    config = catalog("zeta-p2")
+    table = sequences(config, 12)
+    rows = list(table.rows)
+    rows[5] = rows[5]._replace(b=Fraction(0), p_n=None, q_n=None)
+    eta = zeta_p_oracle(2, 1, 40)
+    full = criterion_check(config, table, eta, window=(3, 10))
+    report = criterion_check(config, table._replace(rows=tuple(rows)), eta, window=(3, 10))
+    assert [cert.n for cert in report.certificates] == [3, 4, 6, 7, 8, 9, 10]
+    assert report.certificates == tuple(c for c in full.certificates if c.n != 5)
+
+
 def test_criterion_exact_probe_is_uncertified():
     """Using a table row itself as the oracle value gives a zero difference,
     which can never be certified as a nonzero gap."""

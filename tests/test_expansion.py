@@ -20,7 +20,6 @@ from padicapery.expansion import (
     IntegralityError,
     SequenceTable,
     check_integrality,
-    max_terms_cap,
     reexpand,
     sequences,
 )
@@ -113,8 +112,7 @@ SEQUENCES_N96_SHA256 = {
 
 
 @pytest.mark.parametrize("family,k", ALL_CASES)
-def test_sequences_bytes_match_reference(family, k, monkeypatch, capsys):
-    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "96")
+def test_sequences_bytes_match_reference(family, k, capsys):
     argv = ["sequences", "--case", family, "-k", str(k), "-n", "96", "--format", "csv"]
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -133,8 +131,7 @@ SEQUENCES_N128_SHA256 = {
 
 
 @pytest.mark.parametrize("family,k", ALL_CASES)
-def test_sequences_n128_bytes_match_reference(family, k, monkeypatch, capsys):
-    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "128")
+def test_sequences_n128_bytes_match_reference(family, k, capsys):
     argv = ["sequences", "--case", family, "-k", str(k), "-n", "128", "--format", "csv"]
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -225,8 +222,12 @@ def test_integrality_catches_bad_row():
         check_integrality(broken, config)
 
 
-def test_max_terms_cap_env(monkeypatch):
-    monkeypatch.delenv("PADICAPERY_MAX_TERMS", raising=False)
-    assert max_terms_cap() == 64
-    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "100")
-    assert max_terms_cap() == 100
+
+def test_ratio_of_a_degenerate_row_raises():
+    table = sequences(catalog("zeta-p2"), 3)
+    rows = (table.rows[0], table.rows[1]._replace(b=Fraction(0), p_n=None, q_n=None))
+    degenerate = table._replace(rows=rows)
+    assert degenerate.rows[1].degenerate
+    assert degenerate.ratio(0) == 0
+    with pytest.raises(ZeroDivisionError):
+        degenerate.ratio(1)

@@ -33,6 +33,17 @@ def test_jets_are_unhashable():
         hash(QSeries.one(3))
 
 
+def test_add_and_sub_take_series_only():
+    """A scalar is lifted with QSeries.one(prec) first; a bare one is refused."""
+    one = QSeries.one(3)
+    assert (one + one)[0] == 2 and (one - one) == QSeries.zero(3)
+    for scalar in (1, Fraction(1, 2)):
+        for op in (lambda: one + scalar, lambda: scalar + one,
+                   lambda: one - scalar, lambda: scalar - one):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_mul_truncates_to_min_precision():
     a = QSeries([1, 1, 1, 1, 1])
     b = QSeries([1, -1])
