@@ -35,9 +35,9 @@ from .qseries import ProductRecipe, QSeries, expand_product
 from .recurrence import (
     RecurrenceSpec,
     catalan_recurrence,
+    extend_integers,
     fit_recurrence,
     residual,
-    run_recurrence,
     verify_recurrence,
 )
 
@@ -64,6 +64,7 @@ __all__ = [
     "check_integrality",
     "criterion_check",
     "expand_product",
+    "extend_integers",
     "fit_recurrence",
     "lcm_upto",
     "log_size",
@@ -71,7 +72,6 @@ __all__ = [
     "reexpand",
     "residual",
     "run_canaries",
-    "run_recurrence",
     "sequences",
     "slope_empirical",
     "theta_closed",

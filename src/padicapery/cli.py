@@ -10,8 +10,8 @@ Subcommands:
   against the p-adic oracle and emit JSONL certificates plus a summary.
 * ``oracle``: evaluate a p-adic limit directly and print its certified
   representative and leading digits.
-* ``recurrence``: verify a case's built-in recurrence (the Catalan case
-  has one) against freshly computed tables, or refit it from scratch.
+* ``recurrence``: verify a case's built-in recurrence against tables
+  computed by re-expansion alone, or refit it from scratch.
 
 All JSON output is emitted with sorted keys so repeated runs are byte
 identical.  Big integers are serialized as decimal strings; real numbers
@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
+
+# json is imported inside the writers that emit it, so CSV, plain and series
+# runs do not pay for its import.
 
 from . import curves, recurrence
 from .diophantine import DEFAULT_THETA_REQUIRED, DEFAULT_WINDOW, criterion_check
@@ -35,13 +37,10 @@ from .eisenstein import (
     series_f,
     series_f_prime,
 )
-from .expansion import sequences
+from .expansion import reexpanded_columns, sequences
 from .oracle import OracleInconsistency, catalan_2adic_oracle, zeta_p_oracle
 
 _ORACLE_FAMILIES = {family.oracle: family for family in curves.FAMILY_TABLE.values()}
-_RECURRENCE_CASES = tuple(
-    name for name, family in curves.FAMILY_TABLE.items() if family.recurrence is not None
-)
 # form -> (takes --p, takes --weight, builder(p, weight, prec))
 _FORMS = {
     "e": (False, True, lambda p, weight, prec: series_e(weight, prec)),
@@ -58,7 +57,9 @@ _FORMS = {
 # class, so M = 100 and the nodes reach weight 3680, takes about 6 s, and the
 # p = 5 series at 2048 digits (100 units at F = 125 modulo 5^2068) about 2.5 s.
 # Terms cost less: at 256 of them, `certify --case zeta-p2 -k 16 --bits 2048`
-# takes 3.9 s and `sequences --case zeta-p2 -k 16` 1.4 s.
+# takes 2.3-3.9 s and `sequences --case zeta-p2 -k 16` 1.4-1.9 s, both by
+# re-expansion (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2
+# -k 2`, exact elimination on 253 equations in 33 unknowns, 3.4-5 s.
 _MAX_BITS = 2048
 _MAX_INDEX = 16
 _MAX_TERMS = 256
@@ -142,6 +143,8 @@ def _cmd_sequences(parser, args) -> int:
     config = _resolve_case(parser, args.case, args.k)
     rows = _table_rows(sequences(config, args.count))
     if args.format == "json":
+        import json
+
         records = [dict(zip(_TABLE_HEADER, row)) for row in rows]
         text = json.dumps(records, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
@@ -151,7 +154,7 @@ def _cmd_sequences(parser, args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = "".join(
-            f"{n} a={a_num}/{a_den} b={b} p/q={p_n}/{q_n}\n"
+            f"{n} a={a_num}/{a_den} b={b} p/q={p_n or ''}/{q_n or ''}\n"
             for n, a_num, a_den, b, p_n, q_n in rows
         )
     _emit(text, args.output)
@@ -191,6 +194,8 @@ def _cmd_certify(parser, args) -> int:
     report = criterion_check(
         config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
     )
+    import json
+
     lines = []
     for cert in report.certificates:
         lines.append(
@@ -237,6 +242,8 @@ def _cmd_oracle(parser, args) -> int:
         parser.error("the Catalan oracle is defined for n = 1 only")
     _check_size(parser, "-n", args.n, _MAX_INDEX)
     value = _evaluate_oracle(family, args.n, args.bits)
+    import json
+
     payload = {
         "agreement_exponent": value.agreement_exponent,
         "digits": [[exponent, digit] for exponent, digit in value.digits(args.digits)],
@@ -255,27 +262,32 @@ def _cmd_recurrence(parser, args) -> int:
     _check_size(parser, "-n", args.count, _MAX_TERMS)
     if args.count < 6:
         parser.error("-n must be at least 6 for a meaningful check")
-    config = _resolve_case(parser, args.case, 1)
-    table = sequences(config, args.count)
-    spec = config.family.recurrence
+    config = _resolve_case(parser, args.case, args.k)
+    spec = config.family.recurrence.get(config.k)
+    if spec is None:
+        parser.error(f"{config.case_id} has no built-in recurrence")
+    # The reference path: a relation is never checked against its own output.
+    b_list, a_list = reexpanded_columns(config, args.count)
     top = args.count - 2
     if args.action == "verify":
-        violations_b = recurrence.verify_recurrence(spec, table.b_list(), 1, top)
-        violations_a = recurrence.verify_recurrence(spec, table.a_list(), 2, top)
+        # The b-column holds from n = order - 1, the a-column from n = order.
+        start_b, start_a = spec.order - 1, spec.order
+        violations_b = recurrence.verify_recurrence(spec, b_list, start_b, top)
+        violations_a = recurrence.verify_recurrence(spec, a_list, start_a, top)
         payload = {
             "case": config.case_id,
             "coeff_polys": [list(poly) for poly in spec.coeff_polys],
             "degree": spec.degree,
             "order": spec.order,
-            "range_a": [2, top],
-            "range_b": [1, top],
+            "range_a": [start_a, top],
+            "range_b": [start_b, top],
             "violations_a": len(violations_a),
             "violations_b": len(violations_b),
         }
         code = 0 if not violations_a and not violations_b else 1
     else:
         try:
-            fitted = recurrence.fit_recurrence(table.b_list(), spec.order, spec.degree)
+            fitted = recurrence.fit_recurrence(b_list, spec.order, spec.degree)
         except ValueError as exc:
             parser.error(f"-n {args.count}: {exc}")
         payload = {
@@ -287,6 +299,8 @@ def _cmd_recurrence(parser, args) -> int:
             "source": "b",
         }
         code = 0 if fitted == spec else 1
+    import json
+
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
     return code
 
@@ -337,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recurrence", help="verify or refit the recurrence")
     p_rec.add_argument("action", choices=("verify", "fit"))
-    p_rec.add_argument("--case", choices=_RECURRENCE_CASES, default=_RECURRENCE_CASES[0])
+    p_rec.add_argument("--case", choices=curves.FAMILIES, default="catalan-p2")
+    p_rec.add_argument("-k", type=int, default=1)
     p_rec.add_argument("-n", "--count", type=int, default=26)
     p_rec.add_argument("-o", "--output")
     p_rec.set_defaults(func=_cmd_recurrence)

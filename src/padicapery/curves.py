@@ -5,7 +5,7 @@ expansion of the local uniformizer f = q + O(q^2), the builders of the weight
 series and its antiderivative that get re-expanded in f, how the weight grows
 with the index k, the (v, e) exponents that feed the closed-form witness
 exponent, the sign that reconciles the re-expansion output with the published
-b-list (and so fixes the sign of the limit), the canaries, the recurrence and
+b-list (and so fixes the sign of the limit), the canaries, the recurrences and
 the oracle.  A case is a family at one index k.
 
 Two exact q-expansion identities act as canaries for the whole catalog: the
@@ -19,12 +19,19 @@ downstream is trustworthy then.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from . import eisenstein
 from .eisenstein import series_e_star, series_f
 from .qseries import ProductRecipe, QSeries, expand_product
-from .recurrence import RecurrenceSpec, catalan_recurrence
+from .recurrence import (
+    ZETA_P2,
+    ZETA_P2_K2,
+    ZETA_P3,
+    ZETA_P5,
+    RecurrenceSpec,
+    catalan_recurrence,
+)
 
 __all__ = [
     "FAMILIES",
@@ -59,6 +66,7 @@ class Family(NamedTuple):
     v: Fraction                 # valuation growth exponent
     e: Fraction                 # Archimedean growth exponent
     oracle: str                 # the CLI's oracle target for the limit
+    recurrence: Mapping[int, RecurrenceSpec]  # k -> relation; other k re-expand
     sign_b: int = 1             # published b-list = sign_b * [f^n](lam * w)
     weight_step: int = 2        # the weight series has weight weight_step * k
     fixed_k: bool = False       # the family has no weight parameter: k = 1
@@ -69,24 +77,24 @@ class Family(NamedTuple):
         lambda p, weight, prec: eisenstein.series_e_prime(p, weight, prec)
     )
     elliptic_canary: bool = False
-    recurrence: RecurrenceSpec | None = None
 
 
 _TABLE = (
     # Delta(2 tau)/Delta(tau) = q prod (1+q^n)^24
     Family(
         "zeta-p2", 2, ProductRecipe(1, ((1, 1, 24),)), Fraction(12), Fraction(6),
-        oracle="zeta-p2", elliptic_canary=True,
+        oracle="zeta-p2", recurrence={1: ZETA_P2, 2: ZETA_P2_K2},
+        elliptic_canary=True,
     ),
     # (Delta(3 tau)/Delta(tau))^(1/2) = q prod ((1-q^{3n})/(1-q^n))^12
     Family(
         "zeta-p3", 3, ProductRecipe(1, ((-1, 3, 12), (-1, 1, -12))),
-        Fraction(6), Fraction(3), oracle="zeta-p3",
+        Fraction(6), Fraction(3), oracle="zeta-p3", recurrence={1: ZETA_P3},
     ),
     # (Delta(5 tau)/Delta(tau))^(1/4) = q prod ((1-q^{5n})/(1-q^n))^6
     Family(
         "zeta-p5", 5, ProductRecipe(1, ((-1, 5, 6), (-1, 1, -6))),
-        Fraction(3), Fraction(3, 2), oracle="zeta-p5",
+        Fraction(3), Fraction(3, 2), oracle="zeta-p5", recurrence={1: ZETA_P5},
     ),
     # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8.  The
     # published table negates the b-list: its b_0 is -1 while the normalized
@@ -94,12 +102,12 @@ _TABLE = (
     Family(
         "catalan-p2", 2, ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
         Fraction(8), Fraction(4), oracle="catalan",
+        recurrence={1: catalan_recurrence()},
         sign_b=-1,
         weight_step=1,
         fixed_k=True,
         series=lambda p, weight, prec: series_f(weight, prec),
         antiderivative=lambda p, weight, prec: eisenstein.series_f_prime(prec),
-        recurrence=catalan_recurrence(),
     ),
 )
 

@@ -46,11 +46,23 @@ def _require_prime(p: int) -> None:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    # n must be nonzero
+    # n must be nonzero.  O(log v) big divisions: strip p, p^2, p^4, ...
+    # while they divide, then the remaining valuation, below the next power
+    # tried, bit by bit from the largest of those powers down.
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = []
+    power = p
+    while n % power == 0:
+        n //= power
+        v += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    for j in reversed(range(len(powers))):
+        if n % powers[j] == 0:
+            n //= powers[j]
+            v += 1 << j
     return v
 
 

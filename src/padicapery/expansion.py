@@ -5,19 +5,27 @@ Writing H = sum (A_n + eta B_n) f^n, the B-list is the re-expansion of the
 normalized weight series alone and the A-list that of its product with the
 antiderivative; the published tables are these lists up to the per-family
 sign of the b-list.  The quantity approximated is the reduced ratio 2 a_n / b_n.
+
+Re-expansion costs about O(n^3).  For a case with a recurrence, ``sequences``
+re-expands a short prefix only, checks the relation on both columns of it and
+runs the relation past it in integers; ``reexpanded_columns`` stays the
+reference path that every relation is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import curves
 from .exactnum import lcm_upto
 from .qseries import QSeries
+from .recurrence import RecurrenceSpec, extend_integers
 
 __all__ = [
     "reexpand",
+    "reexpanded_columns",
     "SequenceRow",
     "SequenceTable",
     "sequences",
@@ -100,15 +108,12 @@ class SequenceTable(NamedTuple):
         return Fraction(row.p_n, row.q_n)
 
 
-def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
-    """Compute the first `count` rows (n = 0 .. count-1) of the approximant
-    table for one case.
-
-    Runs the catalog's identity canaries first; a canary failure is raised as
-    curves.IdentityError and means no output can be trusted.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def reexpanded_columns(
+    config: curves.CaseConfig, count: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """The b- and a-columns of the first `count` rows by re-expansion alone,
+    after the catalog's identity canaries: the reference path that every
+    recurrence is checked against."""
     curves.run_canaries(config)
     # [f^m]H needs q^0..q^m only; f's q^1 term is read to check f = q + O(q^2).
     prec = max(count, 2)
@@ -117,9 +122,59 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     wp = family.antiderivative(family.p, config.weight, prec)
     f = curves.uniformizer_series(config, prec)
     scaled = config.lam * w
+    rows = reexpand(scaled, f, count, scaled * wp)
+    return [family.sign_b * b for b, _ in rows], [a for _, a in rows]
+
+
+def _extend(
+    config: curves.CaseConfig,
+    spec: RecurrenceSpec,
+    b_list: list[Fraction],
+    a_list: list[Fraction],
+    count: int,
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Check the case's relation on both re-expanded columns and run it out
+    to `count` rows in integers: b_n, and lcm(1..n)^D * a_n."""
+    scales = [1]
+    lcm = 1
+    for n in range(1, count):
+        lcm = math.lcm(lcm, n)
+        scales.append(lcm**config.D)
+    cleared = [a * s for a, s in zip(a_list, scales)]
+    if any(x.denominator != 1 for x in (*b_list, *cleared)):
+        raise curves.IdentityError(f"a re-expanded row of {config.case_id} is not integral")
+    try:
+        bs = extend_integers(spec, [int(b) for b in b_list], count, spec.order - 1)
+        nums = extend_integers(spec, [int(x) for x in cleared], count, spec.order, scales)
+    except ArithmeticError as exc:
+        raise curves.IdentityError(f"recurrence fails for {config.case_id}: {exc}") from None
+    top = len(a_list)
+    a_list = a_list + [Fraction(x, s) for x, s in zip(nums[top:], scales[top:])]
+    return [Fraction(b) for b in bs], a_list
+
+
+def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
+    """Compute the first `count` rows (n = 0 .. count-1) of the approximant
+    table for one case.
+
+    Runs the catalog's identity canaries first; a canary failure is raised as
+    curves.IdentityError and means no output can be trusted.  A case with a
+    recurrence re-expands only a prefix of rows, the shortest on which the
+    b-column check has more equations than the relation has coefficients;
+    past that prefix the relation, checked on both columns of the prefix,
+    gives the rest.  A check that fails raises curves.IdentityError too.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    spec = config.family.recurrence.get(config.k)
+    prefix = count
+    if spec is not None:
+        prefix = min(count, (spec.order + 1) * (spec.degree + 1) + spec.order + 1)
+    b_list, a_list = reexpanded_columns(config, prefix)
+    if prefix < count:
+        b_list, a_list = _extend(config, spec, b_list, a_list, count)
     rows = []
-    for n, (b, a) in enumerate(reexpand(scaled, f, count, scaled * wp)):
-        b = family.sign_b * b
+    for n, (b, a) in enumerate(zip(b_list, a_list)):
         if b == 0:
             p_n = q_n = None
         else:

@@ -5,9 +5,12 @@ A recurrence of order r and degree d is a relation
     P_0(n) u_{n+1} + P_1(n) u_n + ... + P_r(n) u_{n+1-r} = 0
 
 with integer polynomial coefficients, holding for all n past some start.
-The Catalan table satisfies a second-order, degree-two recurrence shared
-by its a- and b-columns (the b-column from n = 1 on, the a-column only
-from n = 2 because its seed breaks the single relation that touches it).
+Every built-in relation below is shared by the a- and b-columns of its
+case: the b-column satisfies it from n = r - 1 on, the a-column only from
+n = r because its seed breaks the relation that first touches it.  Each
+has zero residuals against re-expanded tables through n = 254, and
+``expansion.sequences`` re-checks it on a re-expanded prefix before it
+extends a table with ``extend_integers``.
 
 ``fit_recurrence`` recovers such a relation from raw sequence values by
 exact linear algebra over the rationals, so a fitted spec is a proof of
@@ -49,14 +52,50 @@ class RecurrenceSpec:
 
     def poly_value(self, i: int, n: int) -> int:
         value = 0
-        for power, coeff in enumerate(self.coeff_polys[i]):
-            value += coeff * n**power
+        for coeff in reversed(self.coeff_polys[i]):
+            value = value * n + coeff
         return value
 
 
 def catalan_recurrence() -> RecurrenceSpec:
     """(n+1)^2 u_{n+1} + (32 n^2 - 4) u_n + 256 (n-1)^2 u_{n-1} = 0."""
     return RecurrenceSpec(((1, 2, 1), (-4, 0, 32), (256, -512, 256)))
+
+
+# (n+1)^3 (2n-1) u_{n+1} + 8 (32n^4 - 12n^2 + 3) u_n
+#     + 2^12 (n-1)^3 (2n+1) u_{n-1} = 0
+ZETA_P2 = RecurrenceSpec(
+    ((-1, -1, 3, 5, 2), (24, 0, -96, 0, 256), (-4096, 4096, 12288, -20480, 8192))
+)
+# (n+1)^3 (2n-1) u_{n+1} + 12 (9n^4 - 4n^2 + 1) u_n
+#     + 3^6 (n-1)^3 (2n+1) u_{n-1} = 0
+ZETA_P3 = RecurrenceSpec(
+    ((-1, -1, 3, 5, 2), (12, 0, -48, 0, 108), (-729, 729, 2187, -3645, 1458))
+)
+# fit_recurrence(b[:47], 2, 10) on the zeta-p2 k = 2 table.  Factored:
+#   P_0 = (n+1)^5 (108n^5 - 420n^4 + 770n^3 - 735n^2 + 357n - 70),
+#   P_2 = 2^12 (n-1)^5 (108n^5 + 120n^4 + 170n^3 + 135n^2 + 57n + 10).
+ZETA_P2_K2 = RecurrenceSpec(
+    (
+        (-70, 7, 350, -35, -700, 73, 722, -5, -250, 120, 108),
+        (-2400, -1440, 12168, 7200, -24840, -13920, 24288, 12000, -320, -19200, 13824),
+        (
+            -40960, -28672, 204800, 143360, -409600, -544768,
+            1728512, -2437120, 2662400, -1720320, 442368,
+        ),
+    )
+)
+# fit_recurrence(b[:46], 4, 5) on the zeta-p5 table.  Factored:
+#   P_0 = (n+1)^3 (n^2 - 3n + 17),  P_4 = 5^6 (n-3)^3 (n^2 - n + 15).
+ZETA_P5 = RecurrenceSpec(
+    (
+        (17, 48, 43, 11, 0, 1),
+        (-102, -186, 30, 684, -110, 44),
+        (-6908, 29992, -37562, 17414, -3670, 734),
+        (-595750, 1017750, -626750, 195500, -41250, 5500),
+        (-6328125, 6750000, -2953125, 796875, -156250, 15625),
+    )
+)
 
 
 def residual(spec: RecurrenceSpec, seq: Sequence, n: int) -> Fraction:
@@ -85,29 +124,41 @@ def verify_recurrence(
     return violations
 
 
-def run_recurrence(
-    spec: RecurrenceSpec, seed: dict[int, Fraction], end: int
-) -> list[Fraction]:
-    """Extend a seed to u_0..u_end by solving the relation for u_{n+1}.
+def extend_integers(
+    spec: RecurrenceSpec,
+    values: list[int],
+    end: int,
+    start: int,
+    scales: Sequence[int] | None = None,
+) -> list[int]:
+    """Check the relation on the given values and extend them to end terms.
 
-    The seed must cover a contiguous block 0..s with s >= order, and
-    P_0(n) must not vanish at any step used.
+    values[n] is u_n * scales[n], an integer, where each scale divides the
+    next (all 1 when scales is None).  The relation must hold at every
+    n = start .. len(values) - 2; the terms past the given ones are then
+    solved for in integers.  A nonzero residual, a vanishing leading
+    polynomial or a division that is not exact raises ArithmeticError.
     """
-    top = max(seed)
-    if sorted(seed) != list(range(top + 1)):
-        raise ValueError("seed must cover a contiguous block starting at 0")
-    if top < spec.order:
-        raise ValueError("seed must reach at least the order of the recurrence")
-    values = [Fraction(seed[i]) for i in range(top + 1)]
-    for n in range(top, end):
+    if start < spec.order - 1 or len(values) < start + 2:
+        raise ValueError("values must cover the relation at n = start")
+    out = list(values)
+    for n in range(start, end - 1):
+        acc = 0
+        for i in range(1, spec.order + 1):
+            term = spec.poly_value(i, n) * out[n + 1 - i]
+            acc += term if scales is None else term * (scales[n + 1] // scales[n + 1 - i])
         lead = spec.poly_value(0, n)
+        if n + 1 < len(values):
+            if lead * out[n + 1] + acc:
+                raise ArithmeticError(f"nonzero residual at n = {n}")
+            continue
         if lead == 0:
             raise ZeroDivisionError(f"leading polynomial vanishes at n = {n}")
-        acc = Fraction(0)
-        for i in range(1, spec.order + 1):
-            acc += spec.poly_value(i, n) * values[n + 1 - i]
-        values.append(-acc / lead)
-    return values
+        quotient, remainder = divmod(-acc, lead)
+        if remainder:
+            raise ArithmeticError(f"term {n + 1} is not an integer")
+        out.append(quotient)
+    return out
 
 
 def _nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:

@@ -170,7 +170,8 @@ def test_sequences_plain(capsys):
 
 
 def test_degenerate_row_prints_null_and_empty_fields(capsys, monkeypatch):
-    """A row with b_n = 0 has no ratio: JSON shows null, CSV empty fields."""
+    """A row with b_n = 0 has no ratio: JSON shows null, CSV and plain empty
+    fields."""
     table = cli.sequences(catalog("zeta-p2"), 3)
     degenerate = table.rows[1]._replace(b=Fraction(0), p_n=None, q_n=None)
     rows = (table.rows[0], degenerate, table.rows[2])
@@ -185,6 +186,11 @@ def test_degenerate_row_prints_null_and_empty_fields(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "3")
     assert code == 0
     assert out.splitlines()[1:] == ["0,0,1,1,0,1", "1,1,1,0,,", "2,1,1,-552,-1,276"]
+    code, out, _ = run_cli(
+        capsys, "sequences", "--case", "zeta-p2", "-n", "3", "--format", "plain"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "1 a=1/1 b=0 p/q=/"
 
 
 def test_sequences_output_file(tmp_path, capsys):
@@ -478,12 +484,60 @@ def test_recurrence_verify_and_fit(capsys):
 def test_recurrence_verify_exits_one_on_a_wrong_spec(capsys, monkeypatch):
     family = curves.FAMILY_TABLE["catalan-p2"]
     wrong = RecurrenceSpec(((1, 2, 1), (-4, 0, 32), (256, -512, 257)))
-    monkeypatch.setitem(curves.FAMILY_TABLE, "catalan-p2", family._replace(recurrence=wrong))
+    monkeypatch.setitem(curves.FAMILY_TABLE, "catalan-p2", family._replace(recurrence={1: wrong}))
     code, out, err = run_cli(capsys, "recurrence", "verify", "-n", "12")
     assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["violations_b"] > 0
     assert payload["coeff_polys"] == [[1, 2, 1], [-4, 0, 32], [256, -512, 257]]
+
+
+# sha256 of `recurrence verify` and `recurrence fit` stdout with no --case,
+# recorded when catalan-p2 was the only case with a recurrence.
+RECURRENCE_DEFAULT_SHA256 = {
+    "verify": "08b942d4e5f1c7835864193da7ff02c9dd5f950ec48e451c5e219696dbe50096",
+    "fit": "67a04f5ad9fc1b231dd1b840e6d555b1e903c8a76d409e2171a8beb65222ab4b",
+}
+
+
+@pytest.mark.parametrize("action", ["verify", "fit"])
+def test_recurrence_defaults_to_catalan(capsys, action):
+    code, out, err = run_cli(capsys, "recurrence", action)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["case"] == "catalan-p2"
+    assert hashlib.sha256(out.encode()).hexdigest() == RECURRENCE_DEFAULT_SHA256[action]
+
+
+@pytest.mark.parametrize(
+    "family,k,order",
+    [("zeta-p2", 1, 2), ("zeta-p2", 2, 2), ("zeta-p3", 1, 2), ("zeta-p5", 1, 4)],
+)
+def test_recurrence_verify_every_case(capsys, family, k, order):
+    code, out, err = run_cli(
+        capsys, "recurrence", "verify", "--case", family, "-k", str(k), "-n", "48"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["violations_a"], payload["violations_b"]) == (0, 0)
+    assert (payload["range_b"], payload["range_a"]) == ([order - 1, 46], [order, 46])
+
+
+def test_wrong_recurrence_fails_the_table(capsys, monkeypatch):
+    """Past its prefix a table comes from the relation, checked on the prefix
+    first; a wrong relation ends the run with no output."""
+    family = curves.FAMILY_TABLE["zeta-p2"]
+    polys = family.recurrence[1].coeff_polys
+    wrong = RecurrenceSpec((polys[0], polys[1], polys[2][:-1] + (polys[2][-1] + 1,)))
+    monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p2", family._replace(recurrence={1: wrong}))
+    code, out, err = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "19")
+    assert (code, out) == (1, "")
+    assert err == (
+        "identity check failed: recurrence fails for zeta-p2:k=1: "
+        "nonzero residual at n = 1\n"
+    )
+    # Up to the prefix, the table is re-expansion alone.
+    code, _, err = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "18")
+    assert (code, err) == (0, "")
 
 
 def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
@@ -520,10 +574,11 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_out_statistics_and_csv():
+    """Nor json, which only the JSON writers import."""
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, padicapery.cli; "
-         "print(sorted({'statistics', 'csv'} & set(sys.modules)))"],
+         "print(sorted({'statistics', 'csv', 'json'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
     )
@@ -582,10 +637,13 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path):
         ({}, "series --form f-prime --weight 7", "--weight does not apply to form f-prime"),
         ({}, "certify --case zeta-p2 -n -5", "-n must be positive"),
         ({}, "certify --case catalan-p2 -n 0", "-n must be positive"),
+        ({}, "recurrence verify --case zeta-p2 -k 3",
+         "zeta-p2:k=3 has no built-in recurrence"),
     ],
     ids=[
         "old-cap-variable-ignored", "fit-n10", "weight-34", "series-case-p-weight",
         "series-case-weight", "f-prime-weight", "certify-n-negative", "certify-n-0",
+        "recurrence-k3",
     ],
 )
 def test_usage_errors_exit_two_without_traceback(env, argv, message):

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicapery.exactnum import INFINITY, is_prime, lcm_upto, log_size, padic_digits, vp
+from padicapery.exactnum import (
+    INFINITY,
+    _int_valuation,
+    is_prime,
+    lcm_upto,
+    log_size,
+    padic_digits,
+    vp,
+)
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -37,6 +45,32 @@ def test_vp_requires_prime():
         vp(10, 4)
     with pytest.raises(ValueError):
         vp(10, 1)
+
+
+def _naive_valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_int_valuation_at_every_small_valuation():
+    for p in (2, 3, 5, 7):
+        for v in range(300):
+            assert _int_valuation((p + 1) * p**v, p) == v
+            assert _int_valuation(-(p**v), p) == v
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=-10**30, max_value=10**30).filter(lambda u: u != 0),
+)
+def test_int_valuation_matches_the_naive_loop(p, v, unit):
+    """unit carries a valuation of its own, so the total is not always v."""
+    n = unit * p**v
+    assert _int_valuation(n, p) == _naive_valuation(n, p)
 
 
 @given(nonzero_rationals, nonzero_rationals, primes)

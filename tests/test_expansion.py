@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padicapery import expansion
 from padicapery.cli import main
-from padicapery.curves import catalog, uniformizer_series
+from padicapery.curves import FAMILY_TABLE, catalog, uniformizer_series
 from padicapery.eisenstein import (
     series_e_prime,
     series_e_star,
@@ -21,6 +22,7 @@ from padicapery.expansion import (
     SequenceTable,
     check_integrality,
     reexpand,
+    reexpanded_columns,
     sequences,
 )
 from padicapery.qseries import QSeries
@@ -136,6 +138,63 @@ def test_sequences_n128_bytes_match_reference(family, k, capsys):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == SEQUENCES_N128_SHA256[family, k]
+
+
+# sha256 of `sequences --case FAMILY -k K -n 256 --format csv` stdout, recorded
+# when every row still came from re-expansion.
+SEQUENCES_N256_SHA256 = {
+    ("zeta-p2", 1): "0e66b8347dac993f58baf8b6f5ac3d8c92f49c830b03ab4103a00abb22a218cd",
+    ("zeta-p2", 2): "34da67fab70cdfd372fb523720e8d54a0fd4639ba51c883baf56c0020ec978a5",
+    ("zeta-p3", 1): "0bf71f1f23c9e7c222a0c4309d318b6564d70b8fb713362b6b69929b44ade67c",
+    ("zeta-p5", 1): "770bcd80ba03b4e09eba1dda886ab2afb95515eb07ebd8209350e39286a884f1",
+    ("catalan-p2", 1): "666fa0cc979e902cb64f48496db98b70e3223bcea3323087590c2f15331b1e00",
+}
+
+
+@pytest.mark.parametrize("family,k", ALL_CASES)
+def test_sequences_n256_bytes_match_reference(family, k, capsys):
+    argv = ["sequences", "--case", family, "-k", str(k), "-n", "256", "--format", "csv"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SEQUENCES_N256_SHA256[family, k]
+
+
+def _prefix(family, k):
+    spec = FAMILY_TABLE[family].recurrence[k]
+    return (spec.order + 1) * (spec.degree + 1) + spec.order + 1
+
+
+def test_every_case_has_a_recurrence():
+    """All five cases have one; zeta-p2 at k = 3 and above has none."""
+    cases = {(name, k) for name, family in FAMILY_TABLE.items() for k in family.recurrence}
+    assert cases == set(ALL_CASES)
+    assert [_prefix(*case) for case in ALL_CASES] == [18, 36, 18, 35, 12]
+
+
+@pytest.mark.parametrize("family,k", ALL_CASES)
+def test_recurrence_rows_equal_reexpansion(family, k):
+    """Around the prefix, and well past it, the rows the relation gives are
+    the rows re-expansion gives."""
+    config = catalog(family, k)
+    b_ref, a_ref = reexpanded_columns(config, 64)
+    prefix = _prefix(family, k)
+    for count in (prefix - 1, prefix, prefix + 1, 64):
+        table = sequences(config, count)
+        assert table.b_list() == b_ref[:count]
+        assert table.a_list() == a_ref[:count]
+
+
+@pytest.mark.parametrize("family,k", ALL_CASES + (("zeta-p2", 3),))
+def test_sequences_reexpands_only_the_prefix(family, k, monkeypatch):
+    counts = []
+
+    def counting(h, f, count, *more):
+        counts.append(count)
+        return reexpand(h, f, count, *more)
+
+    monkeypatch.setattr(expansion, "reexpand", counting)
+    sequences(catalog(family, k), 40)
+    assert counts == [40 if k == 3 else _prefix(family, k)]
 
 
 @pytest.mark.parametrize("family,k", ALL_CASES)

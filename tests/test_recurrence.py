@@ -1,18 +1,19 @@
-"""The Catalan recurrence: verification, regeneration, and exact fitting."""
+"""The built-in recurrences: verification, regeneration, and exact fitting."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from padicapery.curves import catalog
+from padicapery.curves import FAMILY_TABLE, catalog
+from padicapery.exactnum import lcm_upto
 from padicapery.expansion import sequences
 from padicapery.recurrence import (
     RecurrenceSpec,
     catalan_recurrence,
+    extend_integers,
     fit_recurrence,
     residual,
-    run_recurrence,
     verify_recurrence,
 )
 
@@ -56,21 +57,50 @@ def test_a_sequence_breaks_at_one(catalan_table):
     assert residual(spec, catalan_table.a_list(), 1) == 16
 
 
-def test_run_recurrence_reproduces_tables(catalan_table):
+def test_extend_integers_reproduces_tables(catalan_table):
     spec = catalan_recurrence()
-    b = catalan_table.b_list()
-    a = catalan_table.a_list()
-    assert run_recurrence(spec, {0: b[0], 1: b[1], 2: b[2]}, 25) == b
-    regenerated = run_recurrence(spec, {0: a[0], 1: a[1], 2: a[2]}, 25)
-    assert regenerated == a
+    b = [int(value) for value in catalan_table.b_list()]
+    assert extend_integers(spec, b[:3], 26, 1) == b
+    scales = [lcm_upto(max(n, 1)) ** 2 for n in range(26)]
+    cleared = [int(a * s) for a, s in zip(catalan_table.a_list(), scales)]
+    assert extend_integers(spec, cleared[:4], 26, 2, scales) == cleared
 
 
-def test_run_recurrence_validates_seed():
+def test_extend_integers_validates_seed():
     spec = catalan_recurrence()
     with pytest.raises(ValueError):
-        run_recurrence(spec, {0: Fraction(1)}, 5)
+        extend_integers(spec, [1, 4, 28], 5, 0)
     with pytest.raises(ValueError):
-        run_recurrence(spec, {0: Fraction(1), 2: Fraction(2)}, 5)
+        extend_integers(spec, [1, 4], 5, 1)
+
+
+def test_extend_integers_checks_the_given_terms(catalan_table):
+    b = [int(value) for value in catalan_table.b_list()]
+    b[5] += 1
+    with pytest.raises(ArithmeticError, match="nonzero residual at n = 4"):
+        extend_integers(catalan_recurrence(), b[:8], 26, 1)
+
+
+def test_extend_integers_refuses_an_inexact_division():
+    halving = RecurrenceSpec(((2,), (-1,)))
+    assert extend_integers(halving, [8, 4], 4, 0) == [8, 4, 2, 1]
+    with pytest.raises(ArithmeticError, match="term 4 is not an integer"):
+        extend_integers(halving, [8, 4], 5, 0)
+
+
+def test_extend_integers_refuses_a_vanishing_leading_polynomial():
+    # (n - 2) u_{n+1} = u_n vanishes at n = 2.
+    spec = RecurrenceSpec(((-2, 1), (-1,)))
+    with pytest.raises(ZeroDivisionError, match="n = 2"):
+        extend_integers(spec, [2, -1], 5, 0)
+
+
+@pytest.mark.parametrize(
+    "family,k", [(name, k) for name, record in FAMILY_TABLE.items() for k in record.recurrence]
+)
+def test_leading_polynomial_is_nonzero_below_the_cap(family, k):
+    spec = FAMILY_TABLE[family].recurrence[k]
+    assert all(spec.poly_value(0, n) != 0 for n in range(256))
 
 
 def test_fit_recovers_catalan_recurrence(catalan_table):
