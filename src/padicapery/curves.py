@@ -3,10 +3,11 @@
 Each case family is one frozen record: the prime, the eta-like product
 expansion of the local uniformizer f = q + O(q^2), the builders of the weight
 series and its antiderivative that get re-expanded in f, how the weight grows
-with the index k, the (v, e) exponents that feed the closed-form witness
-exponent, the sign that reconciles the re-expansion output with the published
-b-list (and so fixes the sign of the limit), the canaries, the recurrences and
-the oracle.  A case is a family at one index k.
+with the index k, the sign that reconciles the re-expansion output with the
+published b-list (and so fixes the sign of the limit), the canaries, the
+recurrences and the oracle.  The (v, e) exponents that feed the closed-form
+witness exponent are read off the family's k = 1 recurrence, not stored.  A
+case is a family at one index k.
 
 Two exact q-expansion identities act as canaries for the whole catalog: the
 logarithmic derivative theta(f)/f must equal a known power of a multiple of
@@ -48,7 +49,8 @@ __all__ = [
 
 
 class IdentityError(AssertionError):
-    """An internal q-expansion identity failed: abort, the build is wrong."""
+    """An internal identity failed (a q-expansion canary, a recurrence or its
+    growth ratio): abort, the build is wrong."""
 
 
 class Family(NamedTuple):
@@ -58,13 +60,12 @@ class Family(NamedTuple):
     weight 2k, its antiderivative, and theta(f)/f = mu E*_2.  The series
     builders take (p, weight, prec) and look their eisenstein function up when
     called; the member of weight `weight_step` (k = 1) is the canary's series.
+    The growth exponents `v` and `e` are derived from the k = 1 relation.
     """
 
     name: str
     p: int
     recipe: ProductRecipe       # the uniformizer f = q + O(q^2)
-    v: Fraction                 # valuation growth exponent
-    e: Fraction                 # Archimedean growth exponent
     oracle: str                 # the CLI's oracle target for the limit
     recurrence: Mapping[int, RecurrenceSpec]  # k -> relation; other k re-expand
     sign_b: int = 1             # published b-list = sign_b * [f^n](lam * w)
@@ -78,30 +79,45 @@ class Family(NamedTuple):
     )
     elliptic_canary: bool = False
 
+    @property
+    def e(self) -> Fraction:
+        """Archimedean growth exponent: the k = 1 relation's characteristic
+        roots all have modulus p^e, so its solutions grow like p^(e n)."""
+        try:
+            return self.recurrence[1].root_exponent(self.p)
+        except ArithmeticError as exc:
+            raise IdentityError(f"no growth exponent for {self.name}: {exc}") from None
+
+    @property
+    def v(self) -> Fraction:
+        """Valuation growth exponent: the cross differences
+        a_n b_(n+1) - a_(n+1) b_n gain v = 2e p-adic digits per row."""
+        return 2 * self.e
+
 
 _TABLE = (
     # Delta(2 tau)/Delta(tau) = q prod (1+q^n)^24
     Family(
-        "zeta-p2", 2, ProductRecipe(1, ((1, 1, 24),)), Fraction(12), Fraction(6),
+        "zeta-p2", 2, ProductRecipe(1, ((1, 1, 24),)),
         oracle="zeta-p2", recurrence={1: ZETA_P2, 2: ZETA_P2_K2},
         elliptic_canary=True,
     ),
     # (Delta(3 tau)/Delta(tau))^(1/2) = q prod ((1-q^{3n})/(1-q^n))^12
     Family(
         "zeta-p3", 3, ProductRecipe(1, ((-1, 3, 12), (-1, 1, -12))),
-        Fraction(6), Fraction(3), oracle="zeta-p3", recurrence={1: ZETA_P3},
+        oracle="zeta-p3", recurrence={1: ZETA_P3},
     ),
     # (Delta(5 tau)/Delta(tau))^(1/4) = q prod ((1-q^{5n})/(1-q^n))^6
     Family(
         "zeta-p5", 5, ProductRecipe(1, ((-1, 5, 6), (-1, 1, -6))),
-        Fraction(3), Fraction(3, 2), oracle="zeta-p5", recurrence={1: ZETA_P5},
+        oracle="zeta-p5", recurrence={1: ZETA_P5},
     ),
     # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8.  The
     # published table negates the b-list: its b_0 is -1 while the normalized
     # constant term is +1.
     Family(
         "catalan-p2", 2, ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
-        Fraction(8), Fraction(4), oracle="catalan",
+        oracle="catalan",
         recurrence={1: catalan_recurrence()},
         sign_b=-1,
         weight_step=1,

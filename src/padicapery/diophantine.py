@@ -32,7 +32,8 @@ _GUARD = 1e-6
 
 
 def theta_closed(config: CaseConfig) -> float:
-    """Asymptotic irrationality exponent v*log(p) / (e*log(p) + D)."""
+    """Asymptotic irrationality exponent v*log(p) / (e*log(p) + D), with the
+    growth exponents v and e read off the family's k = 1 recurrence."""
     family = config.family
     log_p = math.log(family.p)
     return family.v * log_p / (family.e * log_p + config.D)

@@ -540,6 +540,22 @@ def test_wrong_recurrence_fails_the_table(capsys, monkeypatch):
     assert (code, err) == (0, "")
 
 
+def test_bad_growth_ratio_fails_certify(capsys, monkeypatch):
+    """theta's v and e are read off the k = 1 relation's leading coefficients;
+    a relation whose leading ratio is not a power of p up to sign fixes no
+    theta, and certify ends with no output rather than a default."""
+    family = curves.FAMILY_TABLE["zeta-p2"]
+    polys = family.recurrence[1].coeff_polys
+    tripled = RecurrenceSpec((polys[0], polys[1], tuple(3 * c for c in polys[2])))
+    monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p2", family._replace(recurrence={1: tripled}))
+    code, out, err = run_cli(capsys, "certify", "--case", "zeta-p2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "identity check failed: no growth exponent for zeta-p2: "
+        "leading ratio 24576/2 is not a power of 2 up to sign\n"
+    )
+
+
 def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
     """The zeta-p2 elliptic identity is the only canary that builds an
     unshifted eta quotient (f/Delta); doubling it breaks that identity alone."""

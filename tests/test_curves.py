@@ -6,6 +6,7 @@ import pytest
 
 from padicapery.curves import (
     FAMILIES,
+    FAMILY_TABLE,
     IdentityError,
     catalog,
     check_elliptic_identity,
@@ -133,3 +134,52 @@ def test_growth_parameters():
     assert catalog("zeta-p2", 2).D == 5
     assert catalog("catalan-p2").D == 2
     assert catalog("zeta-p5").family.e == Fraction(3, 2)
+
+
+RELATIONS = [(name, k) for name, family in FAMILY_TABLE.items() for k in family.recurrence]
+
+
+def characteristic_quadratic(family, k):
+    """(c, p^(2e)) with chi = lead_0 * (x^2 + c x + p^(2e))^(r/2), checked in
+    integer polynomial arithmetic; chi = sum_i lead_i x^(r - i), lead_i the
+    coefficient of n^degree in P_i."""
+    record = FAMILY_TABLE[family]
+    spec = record.recurrence[k]
+    chi = [poly[spec.degree] if len(poly) > spec.degree else 0 for poly in spec.coeff_polys]
+    half, odd = divmod(spec.order, 2)
+    assert not odd
+    e = spec.root_exponent(record.p)
+    assert (2 * e).denominator == 1
+    norm = record.p ** int(2 * e)
+    c, remainder = divmod(chi[1], half * chi[0])
+    assert remainder == 0
+    power = [chi[0]]
+    for _ in range(half):
+        product = [0] * (len(power) + 2)
+        for i, x in enumerate(power):
+            for j, y in enumerate((1, c, norm)):
+                product[i + j] += x * y
+        power = product
+    assert power == chi
+    return c, norm
+
+
+@pytest.mark.parametrize("family,k", RELATIONS)
+def test_characteristic_roots_share_one_modulus(family, k):
+    """Family.e reads the roots' modulus off their product, which is sound
+    because chi is a power of one real quadratic with c^2 <= 4 p^(2e): its
+    roots are a conjugate pair, or a double root, all of modulus p^e."""
+    c, norm = characteristic_quadratic(family, k)
+    assert c * c <= 4 * norm
+
+
+def test_characteristic_factorizations():
+    assert {case: characteristic_quadratic(*case) for case in RELATIONS} == {
+        ("zeta-p2", 1): (128, 4096),    # (x + 64)^2
+        ("zeta-p2", 2): (128, 4096),    # (x + 64)^2
+        ("zeta-p3", 1): (54, 729),      # (x + 27)^2
+        ("zeta-p5", 1): (22, 125),      # (x^2 + 22x + 125)^2
+        ("catalan-p2", 1): (32, 256),   # (x + 16)^2
+    }
+    zeta_p2 = FAMILY_TABLE["zeta-p2"].recurrence
+    assert zeta_p2[1].root_exponent(2) == zeta_p2[2].root_exponent(2) == 6

@@ -19,6 +19,30 @@ PUBLISHED_THETAS = {
     "catalan-p2": 1.1618804316,
 }
 
+# theta_closed as certify prints it, format(theta, ".10f"), for every
+# k = 1, 2, ... inside the -k cap.
+THETA_PINS = {
+    "zeta-p2": (
+        "1.1618804316", "0.9081638111", "0.7453941496", "0.6321027487",
+        "0.5487057405", "0.4847498597", "0.4341467157", "0.3931098884",
+        "0.3591609378", "0.3306095163", "0.3062631899", "0.2852566795",
+        "0.2669468653", "0.2508457883", "0.2365765189", "0.2238432772",
+    ),
+    "zeta-p3": (
+        "1.0469892839", "0.7945761035", "0.6402270955", "0.5360898818",
+        "0.4610904415", "0.4045004737", "0.3602827124", "0.3247795977",
+        "0.2956459438", "0.2713087748", "0.2506736624", "0.2329556027",
+        "0.2175768823", "0.2041028929", "0.1922004049", "0.1816096363",
+    ),
+    "zeta-p5": (
+        "0.8917942081", "0.6512289695", "0.5128779778", "0.4230109848",
+        "0.3599416486", "0.3132389127", "0.2772637098", "0.2487006657",
+        "0.2254729788", "0.2062134359", "0.1899852024", "0.1761248307",
+        "0.1641493162", "0.1536986575", "0.1444990444", "0.1363385201",
+    ),
+    "catalan-p2": ("1.1618804316",),
+}
+
 
 def test_theta_closed_matches_published_decimals():
     for family, k in (
@@ -34,6 +58,14 @@ def test_theta_closed_matches_published_decimals():
             PUBLISHED_THETAS[config.case_id],
             abs_tol=5e-11,
         )
+
+
+@pytest.mark.parametrize(
+    "family,k,theta",
+    [(family, k, theta) for family, thetas in THETA_PINS.items() for k, theta in enumerate(thetas, 1)],
+)
+def test_theta_closed_bytes(family, k, theta):
+    assert format(theta_closed(catalog(family, k)), ".10f") == theta
 
 
 def test_slope_windows():
