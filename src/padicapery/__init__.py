@@ -16,12 +16,10 @@ from .diophantine import (
     slope_empirical,
     theta_closed,
 )
-from .exactnum import INFINITY, lcm_upto, log_size, padic_digits, vp
+from .exactnum import INFINITY, log_size, padic_digits, vp
 from .expansion import (
-    IntegralityError,
     SequenceRow,
     SequenceTable,
-    check_integrality,
     reexpand,
     sequences,
 )
@@ -37,7 +35,6 @@ from .recurrence import (
     catalan_recurrence,
     extend_integers,
     fit_recurrence,
-    residual,
     verify_recurrence,
 )
 
@@ -50,7 +47,6 @@ __all__ = [
     "FAMILIES",
     "INFINITY",
     "IdentityError",
-    "IntegralityError",
     "OracleInconsistency",
     "PadicValue",
     "ProductRecipe",
@@ -61,16 +57,13 @@ __all__ = [
     "catalan_2adic_oracle",
     "catalan_recurrence",
     "catalog",
-    "check_integrality",
     "criterion_check",
     "expand_product",
     "extend_integers",
     "fit_recurrence",
-    "lcm_upto",
     "log_size",
     "padic_digits",
     "reexpand",
-    "residual",
     "run_canaries",
     "sequences",
     "slope_empirical",

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 __all__ = [
     "INFINITY",
     "is_prime",
     "vp",
     "padic_digits",
-    "lcm_upto",
     "log_size",
 ]
 
@@ -106,13 +104,6 @@ def padic_digits(x: Fraction | int, p: int, count: int) -> list[tuple[int, int]]
         num //= p
         v += 1
     return out
-
-
-def lcm_upto(n: int) -> int:
-    """lcm(1, 2, ..., n); the denominator-clearing factor for approximant rows."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return reduce(math.lcm, range(2, n + 1), 1)
 
 
 def _log_int(n: int) -> float:

@@ -9,7 +9,8 @@ sign of the b-list.  The quantity approximated is the reduced ratio 2 a_n / b_n.
 Re-expansion costs about O(n^3).  For a case with a recurrence, ``sequences``
 re-expands a short prefix only, checks the relation on both columns of it and
 runs the relation past it in integers; ``reexpanded_columns`` stays the
-reference path that every relation is checked against.
+reference path that every relation is checked against.  Every re-expanded row
+is checked to be integral: b_n and lcm(1..n)^D * a_n are integers.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import curves
-from .exactnum import lcm_upto
 from .qseries import QSeries
-from .recurrence import RecurrenceSpec, extend_integers
+from .recurrence import RecurrenceSpec, column_violations, extend_integers
 
 __all__ = [
     "reexpand",
@@ -29,8 +29,6 @@ __all__ = [
     "SequenceRow",
     "SequenceTable",
     "sequences",
-    "IntegralityError",
-    "check_integrality",
 ]
 
 
@@ -108,12 +106,23 @@ class SequenceTable(NamedTuple):
         return Fraction(row.p_n, row.q_n)
 
 
+def _scales(D: int, count: int) -> list[int]:
+    """lcm(1..n)^D for n < count (1 at n = 0): what clears the a-column."""
+    scales = [1]
+    lcm = 1
+    for n in range(1, count):
+        lcm = math.lcm(lcm, n)
+        scales.append(lcm**D)
+    return scales
+
+
 def reexpanded_columns(
     config: curves.CaseConfig, count: int
 ) -> tuple[list[Fraction], list[Fraction]]:
     """The b- and a-columns of the first `count` rows by re-expansion alone,
     after the catalog's identity canaries: the reference path that every
-    recurrence is checked against."""
+    recurrence is checked against.  A row with b_n or lcm(1..n)^D * a_n not
+    an integer raises curves.IdentityError."""
     curves.run_canaries(config)
     # [f^m]H needs q^0..q^m only; f's q^1 term is read to check f = q + O(q^2).
     prec = max(count, 2)
@@ -123,6 +132,9 @@ def reexpanded_columns(
     f = curves.uniformizer_series(config, prec)
     scaled = config.lam * w
     rows = reexpand(scaled, f, count, scaled * wp)
+    for (b, a), scale in zip(rows, _scales(config.D, count)):
+        if b.denominator != 1 or scale % a.denominator:
+            raise curves.IdentityError(f"a re-expanded row of {config.case_id} is not integral")
     return [family.sign_b * b for b, _ in rows], [a for _, a in rows]
 
 
@@ -135,17 +147,16 @@ def _extend(
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Check the case's relation on both re-expanded columns and run it out
     to `count` rows in integers: b_n, and lcm(1..n)^D * a_n."""
-    scales = [1]
-    lcm = 1
-    for n in range(1, count):
-        lcm = math.lcm(lcm, n)
-        scales.append(lcm**config.D)
-    cleared = [a * s for a, s in zip(a_list, scales)]
-    if any(x.denominator != 1 for x in (*b_list, *cleared)):
-        raise curves.IdentityError(f"a re-expanded row of {config.case_id} is not integral")
+    for _, violations in column_violations(spec, b_list, a_list).values():
+        if violations:
+            raise curves.IdentityError(
+                f"recurrence fails for {config.case_id}: "
+                f"nonzero residual at n = {violations[0][0]}"
+            )
+    scales = _scales(config.D, count)
     try:
-        bs = extend_integers(spec, [int(b) for b in b_list], count, spec.order - 1)
-        nums = extend_integers(spec, [int(x) for x in cleared], count, spec.order, scales)
+        bs = extend_integers(spec, [int(b) for b in b_list], count)
+        nums = extend_integers(spec, [int(a * s) for a, s in zip(a_list, scales)], count, scales)
     except ArithmeticError as exc:
         raise curves.IdentityError(f"recurrence fails for {config.case_id}: {exc}") from None
     top = len(a_list)
@@ -182,23 +193,3 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
             p_n, q_n = ratio.numerator, ratio.denominator
         rows.append(SequenceRow(n=n, a=a, b=b, p_n=p_n, q_n=q_n))
     return SequenceTable(case_id=config.case_id, count=count, rows=tuple(rows))
-
-
-class IntegralityError(AssertionError):
-    """A row violates the integrality the construction guarantees."""
-
-
-def check_integrality(table: SequenceTable, config: curves.CaseConfig) -> None:
-    """Assert b_n in Z and lcm(1..n)^D * a_n in Z for every row; any
-    violation raises IntegralityError."""
-    for row in table.rows:
-        if row.b.denominator != 1:
-            raise IntegralityError(
-                f"{table.case_id}: b_{row.n} = {row.b} is not an integer"
-            )
-        clearing = lcm_upto(max(row.n, 1)) ** config.D
-        if (clearing * row.a).denominator != 1:
-            raise IntegralityError(
-                f"{table.case_id}: lcm^{config.D} * a_{row.n} is not an "
-                f"integer (a_{row.n} = {row.a})"
-            )

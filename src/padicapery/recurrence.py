@@ -6,11 +6,12 @@ A recurrence of order r and degree d is a relation
 
 with integer polynomial coefficients, holding for all n past some start.
 Every built-in relation below is shared by the a- and b-columns of its
-case: the b-column satisfies it from n = r - 1 on, the a-column only from
-n = r because its seed breaks the relation that first touches it.  Each
-has zero residuals against re-expanded tables through n = 254, and
-``expansion.sequences`` re-checks it on a re-expanded prefix before it
-extends a table with ``extend_integers``.
+case; ``column_violations`` is the one place that says from which n on
+each column satisfies it.  Each has zero residuals against re-expanded
+tables through n = 254.  ``expansion.sequences`` checks it with
+``column_violations`` on a re-expanded prefix and then runs it past the
+prefix in integers with ``extend_integers``; ``recurrence verify`` makes
+the same call on tables built by re-expansion alone.
 
 ``fit_recurrence`` recovers such a relation from raw sequence values by
 exact linear algebra over the rationals, so a fitted spec is a proof of
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .exactnum import vp
@@ -125,60 +127,64 @@ ZETA_P5 = RecurrenceSpec(
 )
 
 
-def residual(spec: RecurrenceSpec, seq: Sequence, n: int) -> Fraction:
-    """The left-hand side of the relation at index n."""
-    if n + 1 >= len(seq) or n + 1 - spec.order < 0:
-        raise IndexError("sequence does not cover the relation at this n")
-    total = Fraction(0)
-    for i in range(spec.order + 1):
-        total += spec.poly_value(i, n) * Fraction(seq[n + 1 - i])
-    return total
-
-
 def verify_recurrence(
     spec: RecurrenceSpec, seq: Sequence, start: int, end: int
 ) -> list[tuple[int, Fraction]]:
-    """Residuals that fail to vanish for n in [start, end]."""
+    """The residuals, the left-hand side of the relation at n, that fail to
+    vanish for n in [start, end].  Each is summed in integers over the common
+    denominator of its terms, which are integers or Fractions."""
     if start < spec.order - 1:
         raise ValueError("start must be at least order - 1")
     if end + 1 >= len(seq):
         raise ValueError("end + 1 must be inside the sequence")
     violations = []
     for n in range(start, end + 1):
-        value = residual(spec, seq, n)
-        if value != 0:
-            violations.append((n, value))
+        terms = [(spec.poly_value(i, n), seq[n + 1 - i]) for i in range(spec.order + 1)]
+        den = lcm(*(u.denominator for _, u in terms))
+        value = sum(c * u.numerator * (den // u.denominator) for c, u in terms)
+        if value:
+            violations.append((n, Fraction(value, den)))
     return violations
+
+
+def column_violations(
+    spec: RecurrenceSpec, b_list: Sequence, a_list: Sequence
+) -> dict[str, tuple[int, list[tuple[int, Fraction]]]]:
+    """Check a case's relation on both columns of its table, through
+    n = len - 2: {"b": (start, violations), "a": (start, violations)}.
+
+    The b-column satisfies the relation from n = order - 1 on, the a-column
+    only from n = order, because its seed breaks the relation that first
+    touches it.
+    """
+    return {
+        column: (start, verify_recurrence(spec, seq, start, len(seq) - 2))
+        for column, seq, start in (("b", b_list, spec.order - 1), ("a", a_list, spec.order))
+    }
 
 
 def extend_integers(
     spec: RecurrenceSpec,
     values: list[int],
     end: int,
-    start: int,
     scales: Sequence[int] | None = None,
 ) -> list[int]:
-    """Check the relation on the given values and extend them to end terms.
+    """Run the relation forward from the end of the given values to end terms.
 
     values[n] is u_n * scales[n], an integer, where each scale divides the
-    next (all 1 when scales is None).  The relation must hold at every
-    n = start .. len(values) - 2; the terms past the given ones are then
-    solved for in integers.  A nonzero residual, a vanishing leading
-    polynomial or a division that is not exact raises ArithmeticError.
+    next (all 1 when scales is None).  The relation is not checked on the
+    given values; each later term is solved for in integers.  A vanishing
+    leading polynomial or a division that is not exact raises ArithmeticError.
     """
-    if start < spec.order - 1 or len(values) < start + 2:
-        raise ValueError("values must cover the relation at n = start")
+    if len(values) < spec.order:
+        raise ValueError("values must hold at least order terms")
     out = list(values)
-    for n in range(start, end - 1):
+    for n in range(len(values) - 1, end - 1):
         acc = 0
         for i in range(1, spec.order + 1):
             term = spec.poly_value(i, n) * out[n + 1 - i]
             acc += term if scales is None else term * (scales[n + 1] // scales[n + 1 - i])
         lead = spec.poly_value(0, n)
-        if n + 1 < len(values):
-            if lead * out[n + 1] + acc:
-                raise ArithmeticError(f"nonzero residual at n = {n}")
-            continue
         if lead == 0:
             raise ZeroDivisionError(f"leading polynomial vanishes at n = {n}")
         quotient, remainder = divmod(-acc, lead)
@@ -249,7 +255,11 @@ def _normalize(vector: list[Fraction], order: int, degree: int) -> RecurrenceSpe
 def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
     """Recover an order/degree recurrence annihilating the sequence.
 
-    Uses every relation index n = order .. len(seq) - 2 as an equation.
+    Every relation index n = order .. len(seq) - 2 gives an equation.  The
+    first width + order + 1 of them, width = (order + 1) * (degree + 1), are
+    eliminated; a solution space of dimension at most 1 there is kept only
+    where it vanishes on the rest, and a larger one is recomputed over every
+    equation, so the result is that of eliminating over all of them.
     Raises ValueError when no nonzero relation exists or when the leading
     polynomial of every candidate vanishes identically (which would mean
     the true order is smaller; refit with it).
@@ -267,7 +277,16 @@ def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
         equations.append(row)
     if len(equations) < width:
         raise ValueError("not enough sequence values for this order and degree")
-    basis = _nullspace(equations, width)
+    known = width + order + 1
+    basis = _nullspace(equations[:known], width)
+    if len(basis) > 1:
+        basis = _nullspace(equations, width)
+    else:
+        basis = [
+            vector
+            for vector in basis
+            if not any(sum(map(mul, row, vector)) for row in equations[known:])
+        ]
     candidates = []
     for vector in basis:
         head = vector[: degree + 1]

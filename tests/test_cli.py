@@ -556,6 +556,21 @@ def test_bad_growth_ratio_fails_certify(capsys, monkeypatch):
     )
 
 
+def test_bad_growth_ratio_fails_certify_before_the_oracle(capsys, monkeypatch):
+    family = curves.FAMILY_TABLE["zeta-p2"]
+    polys = family.recurrence[1].coeff_polys
+    tripled = RecurrenceSpec((polys[0], polys[1], tuple(3 * c for c in polys[2])))
+    monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p2", family._replace(recurrence={1: tripled}))
+
+    def oracle_must_not_run(*args):
+        raise AssertionError("the oracle ran for a case with no growth exponent")
+
+    monkeypatch.setattr(cli, "zeta_p_oracle", oracle_must_not_run)
+    code, out, err = run_cli(capsys, "certify", "--case", "zeta-p2", "--bits", "200")
+    assert (code, out) == (1, "")
+    assert err.startswith("identity check failed: no growth exponent for zeta-p2")
+
+
 def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
     """The zeta-p2 elliptic identity is the only canary that builds an
     unshifted eta quotient (f/Delta); doubling it breaks that identity alone."""

@@ -11,7 +11,6 @@ from padicapery.exactnum import (
     INFINITY,
     _int_valuation,
     is_prime,
-    lcm_upto,
     log_size,
     padic_digits,
     vp,
@@ -145,12 +144,6 @@ def test_padic_digits_argument_checks():
         padic_digits(Fraction(1, 3), 4, 3)
     with pytest.raises(ValueError):
         padic_digits(Fraction(1, 3), 2, 0)
-
-
-def test_lcm_upto():
-    assert lcm_upto(1) == 1
-    assert lcm_upto(6) == 60
-    assert lcm_upto(10) == 2520
 
 
 def test_log_size_matches_math_log():

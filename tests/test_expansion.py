@@ -1,6 +1,7 @@
 """Reexpansion in the uniformizer and the published sequence tables."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,7 @@ from padicapery.eisenstein import (
     series_f,
     series_f_prime,
 )
-from padicapery.exactnum import lcm_upto
 from padicapery.expansion import (
-    IntegralityError,
-    SequenceTable,
-    check_integrality,
     reexpand,
     reexpanded_columns,
     sequences,
@@ -263,22 +260,30 @@ def test_integrality_all_cases():
     for family, k in ALL_CASES:
         config = catalog(family, k)
         table = sequences(config, 14)
-        check_integrality(table, config)
         for row in table.rows:
             assert row.b.denominator == 1
-            scale = lcm_upto(max(row.n, 1)) ** config.D
+            scale = math.lcm(*range(1, row.n + 1)) ** config.D
             assert (scale * row.a).denominator == 1
 
 
-def test_integrality_catches_bad_row():
-    config = catalog("zeta-p2")
-    table = sequences(config, 5)
-    rows = list(table.rows)
-    bad = rows[3]
-    rows[3] = type(bad)(n=3, a=bad.a, b=Fraction(1, 2), p_n=bad.p_n, q_n=bad.q_n)
-    broken = SequenceTable(case_id=table.case_id, count=table.count, rows=tuple(rows))
-    with pytest.raises(IntegralityError):
-        check_integrality(broken, config)
+def test_non_integral_row_fails_a_table_without_a_relation(capsys, monkeypatch):
+    """zeta-p3 at k = 2 has no relation, so its whole table is re-expansion;
+    a weight-4 series off by q^3 / 7 makes row 3 non-integral."""
+    family = FAMILY_TABLE["zeta-p3"]
+
+    def off_at_q3(p, weight, prec):
+        series = family.series(p, weight, prec)
+        if weight != 4 or prec <= 3:
+            return series
+        return QSeries([c + Fraction(1, 7) * (n == 3) for n, c in enumerate(series.coeffs)])
+
+    monkeypatch.setitem(FAMILY_TABLE, "zeta-p3", family._replace(series=off_at_q3))
+    code = main(["sequences", "--case", "zeta-p3", "-k", "2", "-n", "8"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "identity check failed: a re-expanded row of zeta-p3:k=2 is not integral\n"
+    # Rows 0..2 do not see the q^3 term.
+    assert main(["sequences", "--case", "zeta-p3", "-k", "2", "-n", "3"]) == 0
 
 
 

@@ -1,19 +1,20 @@
 """The built-in recurrences: verification, regeneration, and exact fitting."""
 
+import math
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from padicapery import expansion, recurrence
+from padicapery.cli import main
 from padicapery.curves import FAMILY_TABLE, catalog
-from padicapery.exactnum import lcm_upto
-from padicapery.expansion import sequences
+from padicapery.expansion import reexpanded_columns, sequences
 from padicapery.recurrence import (
     RecurrenceSpec,
     catalan_recurrence,
     extend_integers,
     fit_recurrence,
-    residual,
     verify_recurrence,
 )
 
@@ -53,46 +54,59 @@ def test_a_sequence_breaks_at_one(catalan_table):
     """The a-seed fails the single relation involving n = 1 while the b-seed
     satisfies it, exactly as the seed conditions predict."""
     spec = catalan_recurrence()
-    assert residual(spec, catalan_table.b_list(), 1) == 0
-    assert residual(spec, catalan_table.a_list(), 1) == 16
+    assert verify_recurrence(spec, catalan_table.b_list(), 1, 1) == []
+    assert verify_recurrence(spec, catalan_table.a_list(), 1, 1) == [(1, 16)]
 
 
 def test_extend_integers_reproduces_tables(catalan_table):
     spec = catalan_recurrence()
     b = [int(value) for value in catalan_table.b_list()]
-    assert extend_integers(spec, b[:3], 26, 1) == b
-    scales = [lcm_upto(max(n, 1)) ** 2 for n in range(26)]
+    assert extend_integers(spec, b[:3], 26) == b
+    scales = [math.lcm(*range(1, n + 1)) ** 2 for n in range(26)]
     cleared = [int(a * s) for a, s in zip(catalan_table.a_list(), scales)]
-    assert extend_integers(spec, cleared[:4], 26, 2, scales) == cleared
+    assert extend_integers(spec, cleared[:4], 26, scales) == cleared
 
 
 def test_extend_integers_validates_seed():
+    with pytest.raises(ValueError):
+        extend_integers(catalan_recurrence(), [1], 5)
+
+
+def test_prefix_residual_names_its_row(capsys, monkeypatch):
+    """A b-column that breaks the relation at prefix row n = 4 alone: b_5
+    moves by d, and each later row of the 12-row prefix by what keeps the
+    relation from n = 5 on (d makes those divisions exact)."""
     spec = catalan_recurrence()
-    with pytest.raises(ValueError):
-        extend_integers(spec, [1, 4, 28], 5, 0)
-    with pytest.raises(ValueError):
-        extend_integers(spec, [1, 4], 5, 1)
+    d = math.prod(spec.poly_value(0, n) for n in range(5, 11))
+    bump = extend_integers(spec, [0] * 5 + [d], 12)
+    assert verify_recurrence(spec, bump, 1, 10) == [(4, spec.poly_value(0, 4) * d)]
 
+    def bumped(config, count):
+        b_list, a_list = reexpanded_columns(config, count)
+        return [b + db for b, db in zip(b_list, bump)], a_list
 
-def test_extend_integers_checks_the_given_terms(catalan_table):
-    b = [int(value) for value in catalan_table.b_list()]
-    b[5] += 1
-    with pytest.raises(ArithmeticError, match="nonzero residual at n = 4"):
-        extend_integers(catalan_recurrence(), b[:8], 26, 1)
+    monkeypatch.setattr(expansion, "reexpanded_columns", bumped)
+    code = main(["sequences", "--case", "catalan-p2", "-n", "26"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "identity check failed: recurrence fails for catalan-p2: "
+        "nonzero residual at n = 4\n"
+    )
 
 
 def test_extend_integers_refuses_an_inexact_division():
     halving = RecurrenceSpec(((2,), (-1,)))
-    assert extend_integers(halving, [8, 4], 4, 0) == [8, 4, 2, 1]
+    assert extend_integers(halving, [8, 4], 4) == [8, 4, 2, 1]
     with pytest.raises(ArithmeticError, match="term 4 is not an integer"):
-        extend_integers(halving, [8, 4], 5, 0)
+        extend_integers(halving, [8, 4], 5)
 
 
 def test_extend_integers_refuses_a_vanishing_leading_polynomial():
     # (n - 2) u_{n+1} = u_n vanishes at n = 2.
     spec = RecurrenceSpec(((-2, 1), (-1,)))
     with pytest.raises(ZeroDivisionError, match="n = 2"):
-        extend_integers(spec, [2, -1], 5, 0)
+        extend_integers(spec, [2, -1], 5)
 
 
 @pytest.mark.parametrize(
@@ -106,6 +120,65 @@ def test_leading_polynomial_is_nonzero_below_the_cap(family, k):
 def test_fit_recovers_catalan_recurrence(catalan_table):
     fitted = fit_recurrence(catalan_table.b_list(), 2, 2)
     assert fitted == catalan_recurrence()
+
+
+def _fit_over_every_row(seq, order, degree):
+    """fit_recurrence by elimination over every equation at once."""
+    width = (order + 1) * (degree + 1)
+    equations = [
+        [Fraction(seq[n + 1 - i]) * n**power for i in range(order + 1) for power in range(degree + 1)]
+        for n in range(order, len(seq) - 1)
+    ]
+    candidates = [
+        vector for vector in recurrence._nullspace(equations, width) if any(vector[: degree + 1])
+    ]
+    if not candidates:
+        raise ValueError("no candidate")
+
+    def profile(vector):
+        return tuple(
+            max((p for p, c in enumerate(vector[i * (degree + 1) : (i + 1) * (degree + 1)]) if c), default=-1)
+            for i in range(order + 1)
+        )
+
+    return recurrence._normalize(min(candidates, key=profile), order, degree)
+
+
+@pytest.mark.parametrize(
+    "family,k", [(name, k) for name, record in FAMILY_TABLE.items() for k in record.recurrence]
+)
+def test_fit_equals_elimination_over_every_row(family, k):
+    spec = FAMILY_TABLE[family].recurrence[k]
+    b_list, _ = reexpanded_columns(catalog(family, k), 64)
+    assert fit_recurrence(b_list, spec.order, spec.degree) == spec
+    assert _fit_over_every_row(b_list, spec.order, spec.degree) == spec
+
+
+@pytest.mark.parametrize(
+    "seq,order,degree",
+    [
+        # The relation times (n + c) for every c: a plane of solutions.
+        ([(-4) ** n * math.comb(2 * n, n) for n in range(20)], 1, 2),
+        # The first equations are all zero; the later ones cut the space down,
+        # to nothing, and to (n - 7) u_(n+1) = 2 u_n.
+        ([0] * 8 + [3**n for n in range(8)], 1, 0),
+        ([0] * 8 + [Fraction(2**m, math.factorial(m)) for m in range(10)], 1, 1),
+    ],
+)
+def test_fit_equals_elimination_over_every_row_past_a_plane(seq, order, degree):
+    width = (order + 1) * (degree + 1)
+    equations = [
+        [Fraction(seq[n + 1 - i]) * n**power for i in range(order + 1) for power in range(degree + 1)]
+        for n in range(order, width + 2 * order + 1)
+    ]
+    assert len(recurrence._nullspace(equations, width)) >= 2
+    try:
+        expected = _fit_over_every_row(seq, order, degree)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fit_recurrence(seq, order, degree)
+    else:
+        assert fit_recurrence(seq, order, degree) == expected
 
 
 def _shift_polys(spec: RecurrenceSpec, offset: int) -> RecurrenceSpec:
