@@ -28,7 +28,7 @@ import sys
 # runs do not pay for its import.
 
 from . import curves, recurrence
-from .diophantine import DEFAULT_THETA_REQUIRED, DEFAULT_WINDOW, criterion_check
+from .diophantine import DEFAULT_WINDOW, THETA_REQUIRED, criterion_check
 from .eisenstein import (
     series_e,
     series_e_prime,
@@ -195,9 +195,7 @@ def _cmd_certify(parser, args) -> int:
     config.family.e
     table = sequences(config, count)
     eta = _evaluate_oracle(config.family, config.k, args.bits)
-    report = criterion_check(
-        config, table, eta, theta_required=DEFAULT_THETA_REQUIRED, window=window
-    )
+    report = criterion_check(config, table, eta, window=window)
     import json
 
     lines = []
@@ -228,7 +226,7 @@ def _cmd_certify(parser, args) -> int:
                 "rows": len(report.certificates),
                 "sign": report.sign,
                 "theta_closed": _real(report.theta_closed),
-                "theta_required": _real(report.theta_required),
+                "theta_required": _real(THETA_REQUIRED),
                 "verdict": report.verdict,
             },
             sort_keys=True,

@@ -25,14 +25,7 @@ from typing import Callable, Mapping, NamedTuple
 from . import eisenstein
 from .eisenstein import series_e_star, series_f
 from .qseries import ProductRecipe, QSeries, expand_product
-from .recurrence import (
-    ZETA_P2,
-    ZETA_P2_K2,
-    ZETA_P3,
-    ZETA_P5,
-    RecurrenceSpec,
-    catalan_recurrence,
-)
+from .recurrence import CATALAN_P2, ZETA_P2, ZETA_P2_K2, ZETA_P3, ZETA_P5, RecurrenceSpec
 
 __all__ = [
     "FAMILIES",
@@ -118,7 +111,7 @@ _TABLE = (
     Family(
         "catalan-p2", 2, ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
         oracle="catalan",
-        recurrence={1: catalan_recurrence()},
+        recurrence={1: CATALAN_P2},
         sign_b=-1,
         weight_step=1,
         fixed_k=True,

@@ -26,7 +26,7 @@ from .exactnum import log_size, vp
 from .expansion import SequenceTable
 from .oracle import PadicValue
 
-DEFAULT_THETA_REQUIRED = 1.01
+THETA_REQUIRED = 1.01
 DEFAULT_WINDOW = (3, 10)
 _GUARD = 1e-6
 
@@ -92,7 +92,6 @@ class Certificate(NamedTuple):
 class CertificationReport(NamedTuple):
     case_id: str
     theta_closed: float
-    theta_required: float
     sign: int
     verdict: str
     certificates: tuple[Certificate, ...]
@@ -106,7 +105,6 @@ def criterion_check(
     config: CaseConfig,
     table: SequenceTable,
     eta: PadicValue,
-    theta_required: float = DEFAULT_THETA_REQUIRED,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> CertificationReport:
     """Run the finite-range criterion over a window of rows.
@@ -136,7 +134,7 @@ def criterion_check(
             implied = math.inf if clamped > 0 else 0.0
         passed = None
         if certified:
-            passed = clamped * math.log(p) >= (theta_required - _GUARD) * log_max
+            passed = clamped * math.log(p) >= (THETA_REQUIRED - _GUARD) * log_max
         certificates.append(
             Certificate(
                 case_id=table.case_id,
@@ -152,7 +150,7 @@ def criterion_check(
                 passed=passed,
             )
         )
-    if asymptotic < theta_required - _GUARD:
+    if asymptotic < THETA_REQUIRED - _GUARD:
         verdict = "WITNESS_FAIL"
     elif not any(cert.certified for cert in certificates):
         verdict = "UNCERTIFIED"
@@ -163,7 +161,6 @@ def criterion_check(
     return CertificationReport(
         case_id=table.case_id,
         theta_closed=asymptotic,
-        theta_required=theta_required,
         sign=sign,
         verdict=verdict,
         certificates=tuple(certificates),

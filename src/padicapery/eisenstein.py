@@ -2,8 +2,6 @@
 
 Conventions, fixed once and used everywhere:
 
-* Bernoulli numbers follow x/2 + x/(e^x - 1) = sum B_n x^n / n!, i.e.
-  B_1 = +1/2; even indices are unaffected and zeta(1-2k) = -B_{2k}/2k.
 * zeta_star(p, 2k) = (1 - p^{2k-1}) * zeta(1-2k): the zeta value with its
   Euler factor at p removed, the constant of the weight-2k p-deprived series.
 * Euler numbers are the secant numbers, sech x = sum E_n x^n / n! with
@@ -16,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import _require_prime
-from .qseries import DEFAULT_PREC, QSeries
+from .qseries import QSeries
 
 __all__ = [
     "bernoulli",
@@ -65,13 +63,9 @@ def _extend(numbers: list[int], column: list[int], k: int) -> int:
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n in the B_1 = +1/2 convention."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n == 1:
-        return Fraction(1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
+    """B_n for even n."""
+    if n < 0 or n % 2 == 1:
+        raise ValueError("Bernoulli numbers are only used at even indices >= 0")
     if n == 0:
         return Fraction(1)
     # B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
@@ -131,13 +125,13 @@ def _lambert(constant, term, prec: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def series_e(two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
+def series_e(two_k: int, prec: int) -> QSeries:
     """Level-one Eisenstein series of weight 2k, constant zeta(1-2k)/2."""
     _require_even_weight(two_k, 2)
     return _lambert(zeta_neg(two_k) / 2, lambda d, e: d ** (two_k - 1), prec)
 
 
-def series_e_star(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
+def series_e_star(p: int, two_k: int, prec: int) -> QSeries:
     """Weight-2k series with p-divisor terms and the p-Euler factor removed.
 
     Equals series_e(2k) - p^{2k-1} series_e(2k)(q -> q^p); the level-lowering
@@ -150,7 +144,7 @@ def series_e_star(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
     )
 
 
-def series_evil(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
+def series_evil(p: int, two_k: int, prec: int) -> QSeries:
     """The cuspidal-at-infinity twin E_{2k}(tau) - E_{2k}(p tau).
 
     Its q^n coefficient is sigma_{2k-1}(n) - sigma_{2k-1}(n/p) (when p | n),
@@ -161,7 +155,7 @@ def series_evil(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
     return _lambert(0, lambda d, e: d ** (two_k - 1) if e % p else 0, prec)
 
 
-def series_e_prime(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
+def series_e_prime(p: int, two_k: int, prec: int) -> QSeries:
     """Weight -2k antiderivative: theta^{2k+1} of it gives the evil twin of
     weight 2k+2.  Coefficient of q^n is the sum of d^{-(2k+1)} over the
     divisors d of n prime to p; zero constant term by construction."""
@@ -172,7 +166,7 @@ def series_e_prime(p: int, two_k: int, prec: int = DEFAULT_PREC) -> QSeries:
     )
 
 
-def series_f(weight: int, prec: int = DEFAULT_PREC) -> QSeries:
+def series_f(weight: int, prec: int) -> QSeries:
     """Odd-weight Eisenstein family for chi mod 4: weight 2k+1 has constant
     L(-2k, chi)/2 and q^n coefficient sum_{d|n} chi(d) d^{2k}, the Lambert
     form sum_{m odd} chi(m) m^{2k} q^m/(1-q^m) plus the constant."""
@@ -182,7 +176,7 @@ def series_f(weight: int, prec: int = DEFAULT_PREC) -> QSeries:
     return _lambert(l_chi4_neg(two_k) / 2, lambda d, e: chi4(d) * d**two_k, prec)
 
 
-def series_f_prime(prec: int = DEFAULT_PREC) -> QSeries:
+def series_f_prime(prec: int) -> QSeries:
     """Weight -1 antiderivative of the weight-3 member: coefficient of q^n is
     sum_{d|n} chi(d) d^{-2}, zero constant term."""
     return _lambert(0, lambda d, e: Fraction(chi4(d), d * d), prec)

@@ -79,22 +79,15 @@ class PadicValue(NamedTuple):
         pairs = padic_digits(self.representative, self.p, count)
         return [pair for pair in pairs if pair[0] < self.agreement_exponent]
 
-    def combine(self, other: "PadicValue") -> "PadicValue":
-        """Merge two approximations of the same number.
 
-        Their representatives must agree to the weaker of the two
-        exponents; the tighter approximation is returned.
-        """
-        if self.p != other.p:
-            raise ValueError("cannot combine values over different primes")
-        floor = min(self.agreement_exponent, other.agreement_exponent)
-        if vp(self.representative - other.representative, self.p) < floor:
-            raise OracleInconsistency(
-                "representatives disagree below the shared agreement exponent"
-            )
-        if self.agreement_exponent >= other.agreement_exponent:
-            return self
-        return other
+def _require_agreement(value: PadicValue, other: PadicValue) -> None:
+    """Raise OracleInconsistency unless two approximations of one p-adic
+    number agree to the weaker of their exponents."""
+    floor = min(value.agreement_exponent, other.agreement_exponent)
+    if vp(value.representative - other.representative, value.p) < floor:
+        raise OracleInconsistency(
+            "representatives disagree below the shared agreement exponent"
+        )
 
 
 def _modulus(p: int, t: int) -> int:
@@ -222,10 +215,10 @@ def _oracle(
     m = next(k for k in range(1, 4) if p**k >= 8)
     exponent = target_bits + _SLACK
     value = _series_limit(twist, p, s_minus_1, m, exponent)
-    value.combine(_series_limit(twist, p, s_minus_1, m + 1, exponent))
+    _require_agreement(value, _series_limit(twist, p, s_minus_1, m + 1, exponent))
     modulus = _modulus(p, _stride_exponent(p, n))
-    value.combine(
-        _interpolated_limit(g, p, modulus, n, min(target_bits, _NEWTON_BITS))
+    _require_agreement(
+        value, _interpolated_limit(g, p, modulus, n, min(target_bits, _NEWTON_BITS))
     )
     return value
 

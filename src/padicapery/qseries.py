@@ -13,10 +13,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable
 
-__all__ = ["DEFAULT_PREC", "QSeries", "ProductRecipe", "expand_product"]
-
-#: Working precision used by callers that do not have a better-informed choice.
-DEFAULT_PREC = 64
+__all__ = ["QSeries", "ProductRecipe", "expand_product"]
 
 _Scalar = (int, Fraction)
 
@@ -39,17 +36,8 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, prec: int) -> "QSeries":
-        return cls([], prec)
-
-    @classmethod
     def one(cls, prec: int) -> "QSeries":
         return cls([1], prec)
-
-    @classmethod
-    def gen(cls, prec: int) -> "QSeries":
-        """The series q."""
-        return cls([0, 1], prec)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -83,19 +71,11 @@ class QSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs])
-
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.prec, other.prec)
         return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other) -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + -other
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, _Scalar):
@@ -135,17 +115,6 @@ class QSeries:
     def theta(self) -> "QSeries":
         """q d/dq: multiplies the n-th coefficient by n."""
         return QSeries([n * c for n, c in enumerate(self.coeffs)])
-
-    def substitute_q_power(self, k: int) -> "QSeries":
-        """q -> q**k at unchanged precision (used for level raising)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        out = [Fraction(0)] * self.prec
-        for i, c in enumerate(self.coeffs):
-            if i * k >= self.prec:
-                break
-            out[i * k] = c
-        return QSeries(out)
 
 
 @dataclass(frozen=True)

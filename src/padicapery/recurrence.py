@@ -86,11 +86,8 @@ class RecurrenceSpec:
         return value
 
 
-def catalan_recurrence() -> RecurrenceSpec:
-    """(n+1)^2 u_{n+1} + (32 n^2 - 4) u_n + 256 (n-1)^2 u_{n-1} = 0."""
-    return RecurrenceSpec(((1, 2, 1), (-4, 0, 32), (256, -512, 256)))
-
-
+# (n+1)^2 u_{n+1} + (32n^2 - 4) u_n + 256 (n-1)^2 u_{n-1} = 0
+CATALAN_P2 = RecurrenceSpec(((1, 2, 1), (-4, 0, 32), (256, -512, 256)))
 # (n+1)^3 (2n-1) u_{n+1} + 8 (32n^4 - 12n^2 + 3) u_n
 #     + 2^12 (n-1)^3 (2n+1) u_{n-1} = 0
 ZETA_P2 = RecurrenceSpec(

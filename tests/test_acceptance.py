@@ -23,7 +23,7 @@ from padicapery.exactnum import vp
 from padicapery.expansion import sequences
 from padicapery.oracle import catalan_2adic_oracle, zeta_p_oracle
 from padicapery.qseries import ProductRecipe, expand_product
-from padicapery.recurrence import catalan_recurrence, fit_recurrence, verify_recurrence
+from padicapery.recurrence import CATALAN_P2, fit_recurrence, verify_recurrence
 
 ALL_CASES = (
     ("zeta-p2", 1),
@@ -100,7 +100,7 @@ def test_acceptance_3_theta_constants():
 
 def test_acceptance_4_recurrence(tables):
     table = tables[("catalan-p2", 1)]
-    spec = catalan_recurrence()
+    spec = CATALAN_P2
     assert verify_recurrence(spec, table.b_list(), 2, 24) == []
     assert verify_recurrence(spec, table.a_list(), 2, 24) == []
     assert fit_recurrence(table.b_list(), 2, 2) == spec

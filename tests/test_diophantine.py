@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padicapery.curves import catalog
-from padicapery.diophantine import criterion_check, slope_empirical, theta_closed
+from padicapery.diophantine import THETA_REQUIRED, criterion_check, slope_empirical, theta_closed
 from padicapery.exactnum import vp
 from padicapery.expansion import sequences
 from padicapery.oracle import PadicValue, catalan_2adic_oracle, zeta_p_oracle
@@ -142,7 +142,7 @@ def test_criterion_passes_for_zeta_p2():
         if cert.certified:
             assert cert.passed
             assert cert.valuation_gap < eta.agreement_exponent
-            assert cert.implied_exponent > report.theta_required
+            assert cert.implied_exponent > THETA_REQUIRED
 
 
 def test_criterion_clamps_at_oracle_radius():
@@ -205,7 +205,7 @@ def test_criterion_fail_verdict_for_heavier_weight():
     eta = zeta_p_oracle(2, 2, 40)
     report = criterion_check(config, table, eta)
     assert report.verdict == "WITNESS_FAIL"
-    assert report.theta_closed < report.theta_required
+    assert report.theta_closed < THETA_REQUIRED
 
 
 def test_criterion_rejects_mismatched_prime():

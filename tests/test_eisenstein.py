@@ -157,16 +157,21 @@ def test_bernoulli_euler_digest_through_1200():
 
 def test_bernoulli_known_values():
     assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(1, 2)
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
-    assert bernoulli(3) == 0 and bernoulli(13) == 0
 
 
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 13])
+def test_bernoulli_rejects_odd_indices(n):
+    """Only even indices are used; the oracle handles j = 1 with B_1 = -1/2."""
+    with pytest.raises(ValueError):
+        bernoulli(n)
 
 
 def test_euler_numbers_match_sech_expansion():
@@ -263,21 +268,27 @@ def test_series_e_normalization():
     assert e4[3] == 28
 
 
+def minus_level_p(plain: QSeries, p: int, factor) -> QSeries:
+    """plain(q) - factor * plain(q^p), at the precision of plain."""
+    return QSeries(
+        [c - (factor * plain[n // p] if n % p == 0 else 0) for n, c in enumerate(plain.coeffs)]
+    )
+
+
 def test_series_e_star_level_lowering():
     """E* is E with the p-stabilized coefficients: E - p^{2k-1} E(q^p)."""
     for p in (2, 3):
         for two_k in (2, 4):
             star = series_e_star(p, two_k, 20)
             plain = series_e(two_k, 20)
-            lowered = plain - Fraction(p) ** (two_k - 1) * plain.substitute_q_power(p)
-            assert star == lowered
+            assert star == minus_level_p(plain, p, p ** (two_k - 1))
 
 
 def test_series_evil_is_difference_of_levels():
     for p, two_k in ((2, 4), (2, 6), (3, 4)):
         evil = series_evil(p, two_k, 18)
         plain = series_e(two_k, 18)
-        assert evil == plain - plain.substitute_q_power(p)
+        assert evil == minus_level_p(plain, p, 1)
         assert evil[0] == 0
 
 

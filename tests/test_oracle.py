@@ -72,16 +72,15 @@ def test_oracle_tracks_sequence_limit():
     assert vp(value.representative - deep, 2) >= value.agreement_exponent
 
 
-def test_combine_prefers_tighter_value():
+def test_agreement_check_uses_the_weaker_exponent():
     a = PadicValue(Fraction(1, 3), 5, 2)
-    b = PadicValue(Fraction(1, 3) + 32, 5, 2)
-    combined = a.combine(b)
-    assert combined.agreement_exponent == 5
+    oracle._require_agreement(a, PadicValue(Fraction(1, 3) + 32, 5, 2))
+    oracle._require_agreement(a, PadicValue(Fraction(1, 3) + 32, 10, 2))
     c = PadicValue(Fraction(1, 3) + 8, 10, 2)
     with pytest.raises(OracleInconsistency):
-        a.combine(c)
-    with pytest.raises(ValueError):
-        a.combine(PadicValue(Fraction(1, 3), 5, 3))
+        oracle._require_agreement(a, c)
+    with pytest.raises(OracleInconsistency):
+        oracle._require_agreement(c, a)
 
 
 def test_nodes_use_correct_zeta_values():

@@ -21,9 +21,9 @@ def short_series(min_prec: int = 1, max_prec: int = 7):
 def test_constructors_and_indexing():
     one = QSeries.one(5)
     assert one[0] == 1 and one[4] == 0
-    gen = QSeries.gen(5)
-    assert [gen[i] for i in range(5)] == [0, 1, 0, 0, 0]
-    assert QSeries.zero(3).prec == 3
+    padded = QSeries([0, 1], 5)
+    assert [padded[i] for i in range(5)] == [0, 1, 0, 0, 0]
+    assert QSeries([], 3).prec == 3
 
 
 def test_jets_are_unhashable():
@@ -33,13 +33,12 @@ def test_jets_are_unhashable():
         hash(QSeries.one(3))
 
 
-def test_add_and_sub_take_series_only():
+def test_add_takes_series_only():
     """A scalar is lifted with QSeries.one(prec) first; a bare one is refused."""
     one = QSeries.one(3)
-    assert (one + one)[0] == 2 and (one - one) == QSeries.zero(3)
+    assert (one + one)[0] == 2
     for scalar in (1, Fraction(1, 2)):
-        for op in (lambda: one + scalar, lambda: scalar + one,
-                   lambda: one - scalar, lambda: scalar - one):
+        for op in (lambda: one + scalar, lambda: scalar + one):
             with pytest.raises(TypeError):
                 op()
 
@@ -54,7 +53,7 @@ def test_mul_truncates_to_min_precision():
 
 @given(short_series(), short_series(), short_series())
 def test_ring_laws(a, b, c):
-    assert (a + b) - b == QSeries(a.coeffs[: min(a.prec, b.prec)])
+    assert a + b == b + a and (a + b).prec == min(a.prec, b.prec)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
@@ -72,13 +71,6 @@ def test_theta_multiplies_by_n():
     s = QSeries([5, 1, 2, 3])
     t = s.theta()
     assert [t[i] for i in range(4)] == [0, 1, 4, 9]
-
-
-def test_substitute_q_power():
-    s = QSeries([1, 2, 3, 4])
-    doubled = s.substitute_q_power(2)
-    assert doubled.prec == 4
-    assert [doubled[i] for i in range(4)] == [1, 0, 2, 0]
 
 
 def _binomial_factor_oracle(sign: int, stride: int, exponent: int, prec: int) -> QSeries:
@@ -129,7 +121,7 @@ def test_expand_product_leading_power_and_validation():
     series = expand_product(recipe, 6)
     assert series[0] == 0 and series[1] == 0 and series[2] == 1
     assert series[3] == 2
-    assert expand_product(ProductRecipe(7, ((1, 1, 2),)), 6) == QSeries.zero(6)
+    assert expand_product(ProductRecipe(7, ((1, 1, 2),)), 6) == QSeries([], 6)
     with pytest.raises(ValueError):
         ProductRecipe(0, ((2, 1, 1),))
     with pytest.raises(ValueError):

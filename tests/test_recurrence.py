@@ -11,8 +11,8 @@ from padicapery.cli import main
 from padicapery.curves import FAMILY_TABLE, catalog
 from padicapery.expansion import reexpanded_columns, sequences
 from padicapery.recurrence import (
+    CATALAN_P2,
     RecurrenceSpec,
-    catalan_recurrence,
     extend_integers,
     fit_recurrence,
     verify_recurrence,
@@ -25,7 +25,7 @@ def catalan_table():
 
 
 def test_spec_shape():
-    spec = catalan_recurrence()
+    spec = CATALAN_P2
     assert spec.order == 2
     assert spec.degree == 2
     assert spec.poly_value(0, 3) == 16
@@ -41,25 +41,25 @@ def test_spec_validation():
 
 
 def test_b_sequence_satisfies_recurrence(catalan_table):
-    violations = verify_recurrence(catalan_recurrence(), catalan_table.b_list(), 1, 24)
+    violations = verify_recurrence(CATALAN_P2, catalan_table.b_list(), 1, 24)
     assert violations == []
 
 
 def test_a_sequence_satisfies_recurrence_from_two(catalan_table):
-    violations = verify_recurrence(catalan_recurrence(), catalan_table.a_list(), 2, 24)
+    violations = verify_recurrence(CATALAN_P2, catalan_table.a_list(), 2, 24)
     assert violations == []
 
 
 def test_a_sequence_breaks_at_one(catalan_table):
     """The a-seed fails the single relation involving n = 1 while the b-seed
     satisfies it, exactly as the seed conditions predict."""
-    spec = catalan_recurrence()
+    spec = CATALAN_P2
     assert verify_recurrence(spec, catalan_table.b_list(), 1, 1) == []
     assert verify_recurrence(spec, catalan_table.a_list(), 1, 1) == [(1, 16)]
 
 
 def test_extend_integers_reproduces_tables(catalan_table):
-    spec = catalan_recurrence()
+    spec = CATALAN_P2
     b = [int(value) for value in catalan_table.b_list()]
     assert extend_integers(spec, b[:3], 26) == b
     scales = [math.lcm(*range(1, n + 1)) ** 2 for n in range(26)]
@@ -69,14 +69,14 @@ def test_extend_integers_reproduces_tables(catalan_table):
 
 def test_extend_integers_validates_seed():
     with pytest.raises(ValueError):
-        extend_integers(catalan_recurrence(), [1], 5)
+        extend_integers(CATALAN_P2, [1], 5)
 
 
 def test_prefix_residual_names_its_row(capsys, monkeypatch):
     """A b-column that breaks the relation at prefix row n = 4 alone: b_5
     moves by d, and each later row of the 12-row prefix by what keeps the
     relation from n = 5 on (d makes those divisions exact)."""
-    spec = catalan_recurrence()
+    spec = CATALAN_P2
     d = math.prod(spec.poly_value(0, n) for n in range(5, 11))
     bump = extend_integers(spec, [0] * 5 + [d], 12)
     assert verify_recurrence(spec, bump, 1, 10) == [(4, spec.poly_value(0, 4) * d)]
@@ -119,7 +119,7 @@ def test_leading_polynomial_is_nonzero_below_the_cap(family, k):
 
 def test_fit_recovers_catalan_recurrence(catalan_table):
     fitted = fit_recurrence(catalan_table.b_list(), 2, 2)
-    assert fitted == catalan_recurrence()
+    assert fitted == CATALAN_P2
 
 
 def _fit_over_every_row(seq, order, degree):
@@ -201,13 +201,13 @@ def _shift_polys(spec: RecurrenceSpec, offset: int) -> RecurrenceSpec:
 def test_fit_from_a_column_recovers_same_relation(catalan_table):
     """Dropping the two seed entries reindexes the relation by n -> n + 2."""
     fitted = fit_recurrence(catalan_table.a_list()[2:], 2, 2)
-    assert fitted == _shift_polys(catalan_recurrence(), 2)
+    assert fitted == _shift_polys(CATALAN_P2, 2)
 
 
 def test_fit_is_scale_invariant(catalan_table):
     b = catalan_table.b_list()
     scaled = [Fraction(value, 7) for value in b]
-    assert fit_recurrence(scaled, 2, 2) == catalan_recurrence()
+    assert fit_recurrence(scaled, 2, 2) == CATALAN_P2
 
 
 def test_fit_geometric_sequence():
