@@ -132,10 +132,11 @@ _TABLE_HEADER = ("n", "a_num", "a_den", "b", "p_n", "q_n")
 def _table_rows(table):
     """One tuple per row in _TABLE_HEADER order; p_n and q_n are None where
     b_n = 0."""
+    ratios = (None if row.degenerate else table.ratio(row.n) for row in table.rows)
     return [
         (row.n, str(row.a.numerator), str(row.a.denominator), str(row.b))
-        + ((None, None) if row.degenerate else (str(row.p_n), str(row.q_n)))
-        for row in table.rows
+        + ((None, None) if ratio is None else (str(ratio.numerator), str(ratio.denominator)))
+        for row, ratio in zip(table.rows, ratios)
     ]
 
 
@@ -203,14 +204,14 @@ def _cmd_certify(parser, args) -> int:
         lines.append(
             json.dumps(
                 {
-                    "case": cert.case_id,
+                    "case": report.case_id,
                     "certified": cert.certified,
                     "implied_exponent": _real(cert.implied_exponent),
                     "log_max_size": _real(cert.log_max_size),
                     "n": cert.n,
                     "p_n": str(cert.p_n),
                     "q_n": str(cert.q_n),
-                    "sign": cert.sign,
+                    "sign": report.sign,
                     "theta_closed": _real(report.theta_closed),
                     "valuation_gap": cert.valuation_gap,
                 },

@@ -69,21 +69,19 @@ def slope_empirical(
 
 
 class Certificate(NamedTuple):
-    """Outcome of the criterion at a single row.
+    """Outcome of the criterion at one row; case and sign are the report's.
 
     ``valuation_gap`` is vp(eta - sign * p_n/q_n) clamped at the oracle's
     agreement exponent; ``certified`` records whether the clamp was
     inactive.  ``passed`` is None for uncertified rows.
     """
 
-    case_id: str
     n: int
     p_n: int
     q_n: int
     valuation_gap: int
     log_max_size: float
     implied_exponent: float
-    sign: int
     oracle_exponent: int
     certified: bool
     passed: bool | None
@@ -111,16 +109,19 @@ def criterion_check(
 
     The sign of the limit is fixed by the construction: H = sum (A_n +
     eta B_n) f^n and the table's b-list is sign_b * B, so the rows
-    approximate eta by -sign_b * p_n/q_n.
+    approximate eta by -sign_b * p_n/q_n.  A window other than
+    0 <= LO <= HI < table.count raises ValueError.
     """
     asymptotic = theta_closed(config)
     p = config.family.p
     if eta.p != p:
         raise ValueError("oracle prime does not match the case")
+    if not 0 <= window[0] <= window[1] < table.count:
+        raise ValueError(f"window {window} is not inside the table's rows 0..{table.count - 1}")
     sign = -config.family.sign_b
     exponent = eta.agreement_exponent
     certificates = []
-    for n in range(window[0], min(window[1] + 1, table.count)):
+    for n in range(window[0], window[1] + 1):
         if table.rows[n].degenerate:
             continue
         ratio = table.ratio(n)
@@ -137,14 +138,12 @@ def criterion_check(
             passed = clamped * math.log(p) >= (THETA_REQUIRED - _GUARD) * log_max
         certificates.append(
             Certificate(
-                case_id=table.case_id,
                 n=n,
                 p_n=ratio.numerator,
                 q_n=ratio.denominator,
                 valuation_gap=clamped,
                 log_max_size=log_max,
                 implied_exponent=implied,
-                sign=sign,
                 oracle_exponent=exponent,
                 certified=certified,
                 passed=passed,

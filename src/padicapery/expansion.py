@@ -4,7 +4,8 @@ the uniformizer, and the approximant sequence tables it produces.
 Writing H = sum (A_n + eta B_n) f^n, the B-list is the re-expansion of the
 normalized weight series alone and the A-list that of its product with the
 antiderivative; the published tables are these lists up to the per-family
-sign of the b-list.  The quantity approximated is the reduced ratio 2 a_n / b_n.
+sign of the b-list.  A row holds n, a_n and an integer b_n; the quantity
+approximated is ``SequenceTable.ratio``, the reduced p_n / q_n = 2 a_n / b_n.
 
 Re-expansion costs about O(n^3).  For a case with a recurrence, ``sequences``
 re-expands a short prefix only, checks the relation on both columns of it and
@@ -79,13 +80,11 @@ def reexpand(
 class SequenceRow(NamedTuple):
     n: int
     a: Fraction
-    b: Fraction
-    p_n: int | None   # numerator of reduced 2a/b, None when b == 0
-    q_n: int | None
+    b: int
 
     @property
     def degenerate(self) -> bool:
-        return self.p_n is None
+        return self.b == 0
 
 
 class SequenceTable(NamedTuple):
@@ -96,14 +95,13 @@ class SequenceTable(NamedTuple):
     def a_list(self) -> list[Fraction]:
         return [r.a for r in self.rows]
 
-    def b_list(self) -> list[Fraction]:
+    def b_list(self) -> list[int]:
         return [r.b for r in self.rows]
 
     def ratio(self, n: int) -> Fraction:
+        """p_n / q_n = 2 a_n / b_n, reduced; ZeroDivisionError where b_n = 0."""
         row = self.rows[n]
-        if row.p_n is None:
-            raise ZeroDivisionError(f"row {n} is degenerate (b_n = 0)")
-        return Fraction(row.p_n, row.q_n)
+        return 2 * row.a / row.b
 
 
 def _scales(D: int, count: int) -> list[int]:
@@ -118,7 +116,7 @@ def _scales(D: int, count: int) -> list[int]:
 
 def reexpanded_columns(
     config: curves.CaseConfig, count: int
-) -> tuple[list[Fraction], list[Fraction]]:
+) -> tuple[list[int], list[Fraction]]:
     """The b- and a-columns of the first `count` rows by re-expansion alone,
     after the catalog's identity canaries: the reference path that every
     recurrence is checked against.  A row with b_n or lcm(1..n)^D * a_n not
@@ -135,16 +133,16 @@ def reexpanded_columns(
     for (b, a), scale in zip(rows, _scales(config.D, count)):
         if b.denominator != 1 or scale % a.denominator:
             raise curves.IdentityError(f"a re-expanded row of {config.case_id} is not integral")
-    return [family.sign_b * b for b, _ in rows], [a for _, a in rows]
+    return [family.sign_b * b.numerator for b, _ in rows], [a for _, a in rows]
 
 
 def _extend(
     config: curves.CaseConfig,
     spec: RecurrenceSpec,
-    b_list: list[Fraction],
+    b_list: list[int],
     a_list: list[Fraction],
     count: int,
-) -> tuple[list[Fraction], list[Fraction]]:
+) -> tuple[list[int], list[Fraction]]:
     """Check the case's relation on both re-expanded columns and run it out
     to `count` rows in integers: b_n, and lcm(1..n)^D * a_n."""
     for _, violations in column_violations(spec, b_list, a_list).values():
@@ -155,13 +153,13 @@ def _extend(
             )
     scales = _scales(config.D, count)
     try:
-        bs = extend_integers(spec, [int(b) for b in b_list], count)
+        b_list = extend_integers(spec, b_list, count)
         nums = extend_integers(spec, [int(a * s) for a, s in zip(a_list, scales)], count, scales)
     except ArithmeticError as exc:
         raise curves.IdentityError(f"recurrence fails for {config.case_id}: {exc}") from None
     top = len(a_list)
     a_list = a_list + [Fraction(x, s) for x, s in zip(nums[top:], scales[top:])]
-    return [Fraction(b) for b in bs], a_list
+    return b_list, a_list
 
 
 def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
@@ -184,12 +182,5 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     b_list, a_list = reexpanded_columns(config, prefix)
     if prefix < count:
         b_list, a_list = _extend(config, spec, b_list, a_list, count)
-    rows = []
-    for n, (b, a) in enumerate(zip(b_list, a_list)):
-        if b == 0:
-            p_n = q_n = None
-        else:
-            ratio = 2 * a / b
-            p_n, q_n = ratio.numerator, ratio.denominator
-        rows.append(SequenceRow(n=n, a=a, b=b, p_n=p_n, q_n=q_n))
-    return SequenceTable(case_id=config.case_id, count=count, rows=tuple(rows))
+    rows = tuple(SequenceRow(n, a, b) for n, (b, a) in enumerate(zip(b_list, a_list)))
+    return SequenceTable(case_id=config.case_id, count=count, rows=rows)

@@ -90,21 +90,17 @@ def _require_agreement(value: PadicValue, other: PadicValue) -> None:
         )
 
 
-def _modulus(p: int, t: int) -> int:
-    """The period (p - 1) * p**t of the weight classes used for nodes."""
-    return (p - 1) * p**t
-
-
-def _stride_exponent(p: int, n: int) -> int:
-    """Least t with M = (p - 1) * p**t >= 16, the spacing the cross-check is
-    sized for, and M > 2n: the first node M - 2n must be a positive weight,
-    and -2n not 0 mod M, the class of the pole of zeta_p, where differences
-    do not shrink (at p = 2, n = 8, M = 16, nodes 16, 32, ... keep
-    valuations -11 to -5 for 64 nodes)."""
-    t = 0
-    while _modulus(p, t) <= max(15, 2 * n):
-        t += 1
-    return t
+def _node_spacing(p: int, n: int) -> int:
+    """The spacing M = (p - 1) * p**t of the Newton nodes, a period of the
+    weight classes, at the least t with M >= 16, the spacing the cross-check
+    is sized for, and M > 2n: the first node M - 2n must be a positive
+    weight, and -2n not 0 mod M, the class of the pole of zeta_p, where
+    differences do not shrink (at p = 2, n = 8, M = 16, nodes 16, 32, ...
+    keep valuations -11 to -5 for 64 nodes)."""
+    spacing = p - 1
+    while spacing <= max(15, 2 * n):
+        spacing *= p
+    return spacing
 
 
 def _clamp(exponent, target: int) -> int:
@@ -114,9 +110,9 @@ def _clamp(exponent, target: int) -> int:
 
 
 def _interpolated_limit(
-    g: Callable[[int], Fraction], p: int, modulus: int, n: int, target: int
+    g: Callable[[int], Fraction], p: int, spacing: int, n: int, target: int
 ) -> PadicValue:
-    """Newton-extrapolate g(M*(j+1) - 2n) to j = -1, tracking stabilization.
+    """Newton-extrapolate g(spacing*(j+1) - 2n) to j = -1, tracking stabilization.
 
     The running partial sum adds ``(-1)**j * delta^j g(0)`` at step j; the
     agreement exponent is the minimum valuation of the last two increments.
@@ -130,7 +126,7 @@ def _interpolated_limit(
     best_total = None
     best_exponent = None
     for j in range(_MAX_POINTS):
-        value = g(modulus * (j + 1) - 2 * n)
+        value = g(spacing * (j + 1) - 2 * n)
         new_diagonal = [value]
         for previous in diagonal:
             new_diagonal.append(new_diagonal[-1] - previous)
@@ -216,9 +212,8 @@ def _oracle(
     exponent = target_bits + _SLACK
     value = _series_limit(twist, p, s_minus_1, m, exponent)
     _require_agreement(value, _series_limit(twist, p, s_minus_1, m + 1, exponent))
-    modulus = _modulus(p, _stride_exponent(p, n))
     _require_agreement(
-        value, _interpolated_limit(g, p, modulus, n, min(target_bits, _NEWTON_BITS))
+        value, _interpolated_limit(g, p, _node_spacing(p, n), n, min(target_bits, _NEWTON_BITS))
     )
     return value
 

@@ -13,10 +13,10 @@ tables through n = 254.  ``expansion.sequences`` checks it with
 prefix in integers with ``extend_integers``; ``recurrence verify`` makes
 the same call on tables built by re-expansion alone.
 
-``fit_recurrence`` recovers such a relation from raw sequence values by
-exact linear algebra over the rationals, so a fitted spec is a proof of
-nothing by itself, but verifying it on rows not used in the fit is a
-strong structural check.
+``fit_recurrence`` recovers such a relation from raw values, integers (b)
+or Fractions (a), by exact linear algebra over the rationals, and refuses
+when it is not unique up to scale.  A fitted spec proves nothing by itself,
+but verifying it on rows not used in the fit is a strong structural check.
 """
 
 from __future__ import annotations
@@ -250,16 +250,17 @@ def _normalize(vector: list[Fraction], order: int, degree: int) -> RecurrenceSpe
 
 
 def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
-    """Recover an order/degree recurrence annihilating the sequence.
+    """Recover the order/degree recurrence annihilating the sequence.
 
     Every relation index n = order .. len(seq) - 2 gives an equation.  The
     first width + order + 1 of them, width = (order + 1) * (degree + 1), are
     eliminated; a solution space of dimension at most 1 there is kept only
     where it vanishes on the rest, and a larger one is recomputed over every
     equation, so the result is that of eliminating over all of them.
-    Raises ValueError when no nonzero relation exists or when the leading
-    polynomial of every candidate vanishes identically (which would mean
-    the true order is smaller; refit with it).
+    Raises ValueError when no nonzero relation exists, when it is not unique
+    up to scale (it times a factor of lower degree fits too; lower the
+    degree), or when its leading polynomial vanishes identically (the true
+    order is smaller; refit with it).
     """
     if order < 1 or degree < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -284,19 +285,10 @@ def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
             for vector in basis
             if not any(sum(map(mul, row, vector)) for row in equations[known:])
         ]
-    candidates = []
-    for vector in basis:
-        head = vector[: degree + 1]
-        if all(entry == 0 for entry in head):
-            continue
-        profile = tuple(
-            max((p for p, c in enumerate(vector[i * (degree + 1) : (i + 1) * (degree + 1)]) if c != 0), default=-1)
-            for i in range(order + 1)
-        )
-        candidates.append((profile, vector))
-    if not candidates:
-        if basis:
-            raise ValueError("leading polynomial vanishes; reduce the order")
+    if not basis:
         raise ValueError("no recurrence of this order and degree fits")
-    candidates.sort(key=lambda item: item[0])
-    return _normalize(candidates[0][1], order, degree)
+    if len(basis) > 1:
+        raise ValueError("the relation is not unique at this order and degree; lower the degree")
+    if not any(basis[0][: degree + 1]):
+        raise ValueError("leading polynomial vanishes; reduce the order")
+    return _normalize(basis[0], order, degree)

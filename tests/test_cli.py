@@ -173,7 +173,7 @@ def test_degenerate_row_prints_null_and_empty_fields(capsys, monkeypatch):
     """A row with b_n = 0 has no ratio: JSON shows null, CSV and plain empty
     fields."""
     table = cli.sequences(catalog("zeta-p2"), 3)
-    degenerate = table.rows[1]._replace(b=Fraction(0), p_n=None, q_n=None)
+    degenerate = table.rows[1]._replace(b=0)
     rows = (table.rows[0], degenerate, table.rows[2])
     monkeypatch.setattr(cli, "sequences", lambda config, count: table._replace(rows=rows))
     code, out, _ = run_cli(

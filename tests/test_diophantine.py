@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 
 from padicapery.curves import catalog
-from padicapery.diophantine import THETA_REQUIRED, criterion_check, slope_empirical, theta_closed
+from padicapery.diophantine import (
+    THETA_REQUIRED,
+    Certificate,
+    criterion_check,
+    slope_empirical,
+    theta_closed,
+)
 from padicapery.exactnum import vp
-from padicapery.expansion import sequences
+from padicapery.expansion import SequenceRow, sequences
 from padicapery.oracle import PadicValue, catalan_2adic_oracle, zeta_p_oracle
 
 PUBLISHED_THETAS = {
@@ -161,7 +167,7 @@ def test_criterion_skips_a_degenerate_row():
     config = catalog("zeta-p2")
     table = sequences(config, 12)
     rows = list(table.rows)
-    rows[5] = rows[5]._replace(b=Fraction(0), p_n=None, q_n=None)
+    rows[5] = rows[5]._replace(b=0)
     eta = zeta_p_oracle(2, 1, 40)
     full = criterion_check(config, table, eta, window=(3, 10))
     report = criterion_check(config, table._replace(rows=tuple(rows)), eta, window=(3, 10))
@@ -213,6 +219,29 @@ def test_criterion_rejects_mismatched_prime():
     table = sequences(config, 8)
     with pytest.raises(ValueError):
         criterion_check(config, table, zeta_p_oracle(2, 1, 20))
+
+
+def test_criterion_rejects_a_window_outside_the_table():
+    """A window that ends past the last row is an error, not a shorter
+    window, and a negative LO does not index rows from the end."""
+    config = catalog("zeta-p2")
+    table = sequences(config, 8)
+    eta = zeta_p_oracle(2, 1, 40)
+    report = criterion_check(config, table, eta, window=(3, 7))
+    assert [cert.n for cert in report.certificates] == [3, 4, 5, 6, 7]
+    for window in ((3, 8), (3, 20), (-2, 4), (5, 3)):
+        with pytest.raises(ValueError, match="not inside the table"):
+            criterion_check(config, table, eta, window=window)
+
+
+def test_rows_and_certificates_hold_no_derived_fields():
+    """A row is (n, a, b) with an integer b, and a certificate leaves the
+    case and the sign to its report."""
+    assert SequenceRow._fields == ("n", "a", "b")
+    for family, k in (("zeta-p2", 1), ("zeta-p2", 3), ("zeta-p3", 1), ("catalan-p2", 1)):
+        table = sequences(catalog(family, k), 40)
+        assert all(type(row.b) is int for row in table.rows)
+    assert not {"case_id", "sign"} & set(Certificate._fields)
 
 
 def test_records_are_immutable_named_records():

@@ -289,7 +289,7 @@ def test_non_integral_row_fails_a_table_without_a_relation(capsys, monkeypatch):
 
 def test_ratio_of_a_degenerate_row_raises():
     table = sequences(catalog("zeta-p2"), 3)
-    rows = (table.rows[0], table.rows[1]._replace(b=Fraction(0), p_n=None, q_n=None))
+    rows = (table.rows[0], table.rows[1]._replace(b=0))
     degenerate = table._replace(rows=rows)
     assert degenerate.rows[1].degenerate
     assert degenerate.ratio(0) == 0

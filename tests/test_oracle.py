@@ -105,16 +105,17 @@ def test_digits_stop_below_agreement_exponent(p, n):
     "p, n, t", [(2, 1, 4), (2, 16, 6), (3, 1, 2), (3, 16, 3), (5, 1, 1), (5, 10, 2)]
 )
 def test_stride_exponent(p, n, t):
-    """The least t with (p - 1) * p**t >= 16 and > 2n."""
-    assert oracle._stride_exponent(p, n) == t
+    """The node spacing is the least M = (p - 1) * p**t with M >= 16 and
+    M > 2n: 16, 64, 18, 54, 20 and 100 here."""
+    assert oracle._node_spacing(p, n) == (p - 1) * p**t
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 11])
 def test_p5_newton_cross_check_reaches_40_digits(n):
     """The cross-check must not fall short silently: at p = 5 it reaches the
     40 digits it is asked for, at M = 20 (n <= 9) and at M = 100."""
-    modulus = oracle._modulus(5, oracle._stride_exponent(5, n))
-    newton = oracle._interpolated_limit(lambda k: zeta_star(5, k), 5, modulus, n, 40)
+    spacing = oracle._node_spacing(5, n)
+    newton = oracle._interpolated_limit(lambda k: zeta_star(5, k), 5, spacing, n, 40)
     assert newton.agreement_exponent >= 40
     series = zeta_p_oracle(5, n, 40)
     assert vp(series.representative - newton.representative, 5) >= 40
@@ -152,8 +153,7 @@ ORACLES = {
 def test_series_agrees_with_newton_at_200_bits(target, g, newton_exponent):
     """The slow reference path, run as deep as its node budget reaches."""
     p, evaluate = ORACLES[target]
-    modulus = oracle._modulus(p, oracle._stride_exponent(p, 1))
-    newton = oracle._interpolated_limit(g, p, modulus, 1, 200)
+    newton = oracle._interpolated_limit(g, p, oracle._node_spacing(p, 1), 1, 200)
     assert newton.agreement_exponent == newton_exponent
     series = evaluate(200)
     assert vp(series.representative - newton.representative, p) >= newton_exponent

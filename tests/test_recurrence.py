@@ -129,19 +129,10 @@ def _fit_over_every_row(seq, order, degree):
         [Fraction(seq[n + 1 - i]) * n**power for i in range(order + 1) for power in range(degree + 1)]
         for n in range(order, len(seq) - 1)
     ]
-    candidates = [
-        vector for vector in recurrence._nullspace(equations, width) if any(vector[: degree + 1])
-    ]
-    if not candidates:
-        raise ValueError("no candidate")
-
-    def profile(vector):
-        return tuple(
-            max((p for p, c in enumerate(vector[i * (degree + 1) : (i + 1) * (degree + 1)]) if c), default=-1)
-            for i in range(order + 1)
-        )
-
-    return recurrence._normalize(min(candidates, key=profile), order, degree)
+    basis = recurrence._nullspace(equations, width)
+    if len(basis) != 1 or not any(basis[0][: degree + 1]):
+        raise ValueError("no unique relation with a nonzero leading polynomial")
+    return recurrence._normalize(basis[0], order, degree)
 
 
 @pytest.mark.parametrize(
@@ -157,7 +148,8 @@ def test_fit_equals_elimination_over_every_row(family, k):
 @pytest.mark.parametrize(
     "seq,order,degree",
     [
-        # The relation times (n + c) for every c: a plane of solutions.
+        # The relation times (n + c) for every c: a plane of solutions, which
+        # both refuse.
         ([(-4) ** n * math.comb(2 * n, n) for n in range(20)], 1, 2),
         # The first equations are all zero; the later ones cut the space down,
         # to nothing, and to (n - 7) u_(n+1) = 2 u_n.
@@ -179,6 +171,15 @@ def test_fit_equals_elimination_over_every_row_past_a_plane(seq, order, degree):
             fit_recurrence(seq, order, degree)
     else:
         assert fit_recurrence(seq, order, degree) == expected
+
+
+def test_fit_refuses_a_plane_of_relations():
+    """(n + 1) u_(n+1) + 8 (2n + 1) u_n = 0 times (n + c) fits at degree 2 for
+    every c, so no single relation is returned; degree 1 gives the relation."""
+    seq = [(-4) ** n * math.comb(2 * n, n) for n in range(20)]
+    with pytest.raises(ValueError, match="not unique"):
+        fit_recurrence(seq, 1, 2)
+    assert fit_recurrence(seq, 1, 1).coeff_polys == ((1, 1), (8, 16))
 
 
 def _shift_polys(spec: RecurrenceSpec, offset: int) -> RecurrenceSpec:
