@@ -199,34 +199,34 @@ def _cmd_certify(parser, args) -> int:
     report = criterion_check(config, table, eta, window=window)
     import json
 
-    lines = []
-    for cert in report.certificates:
-        lines.append(
-            json.dumps(
-                {
-                    "case": report.case_id,
-                    "certified": cert.certified,
-                    "implied_exponent": _real(cert.implied_exponent),
-                    "log_max_size": _real(cert.log_max_size),
-                    "n": cert.n,
-                    "p_n": str(cert.p_n),
-                    "q_n": str(cert.q_n),
-                    "sign": report.sign,
-                    "theta_closed": _real(report.theta_closed),
-                    "valuation_gap": cert.valuation_gap,
-                },
-                sort_keys=True,
-            )
+    shared = {
+        "case": report.case_id,
+        "sign": report.sign,
+        "theta_closed": _real(report.theta_closed),
+    }
+    lines = [
+        json.dumps(
+            {
+                **shared,
+                "certified": cert.certified,
+                "implied_exponent": _real(cert.implied_exponent),
+                "log_max_size": _real(cert.log_max_size),
+                "n": cert.n,
+                "p_n": str(cert.p_n),
+                "q_n": str(cert.q_n),
+                "valuation_gap": cert.valuation_gap,
+            },
+            sort_keys=True,
         )
+        for cert in report.certificates
+    ]
     lines.append(
         json.dumps(
             {
-                "case": report.case_id,
+                **shared,
                 "certified_rows": report.certified_rows,
                 "oracle_bits": eta.agreement_exponent,
                 "rows": len(report.certificates),
-                "sign": report.sign,
-                "theta_closed": _real(report.theta_closed),
                 "theta_required": _real(THETA_REQUIRED),
                 "verdict": report.verdict,
             },

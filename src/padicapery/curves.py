@@ -125,12 +125,22 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 
 class CaseConfig(NamedTuple):
-    case_id: str
+    """A family at index k; the case id, the weight and D derive from the pair."""
+
     family: Family
     k: int
-    weight: int                 # weight of the series that produces the b-list
-    lam: Fraction               # normalization multiplier for the series pair
-    D: int                      # denominator-clearing power
+
+    @property
+    def case_id(self) -> str:
+        return self.family.name if self.family.fixed_k else f"{self.family.name}:k={self.k}"
+
+    @property
+    def weight(self) -> int:
+        return self.family.weight_step * self.k
+
+    @property
+    def D(self) -> int:
+        return self.weight + 1
 
 
 def catalog(family: str, k: int = 1) -> CaseConfig:
@@ -142,20 +152,7 @@ def catalog(family: str, k: int = 1) -> CaseConfig:
     record = FAMILY_TABLE[family]
     if record.fixed_k and k != 1:
         raise ValueError("the Catalan case has no weight parameter")
-    weight = record.weight_step * k
-    # The multiplier clears the denominator of the weight series' constant
-    # term, which both reproduces the published tables (their constants are
-    # 1/24, 1/12, 1/4 with numerator +-1) and keeps every b_n integral at
-    # higher weights, where 2/const would not be an integer.
-    const = record.series(record.p, weight, 1)[0]
-    return CaseConfig(
-        case_id=family if record.fixed_k else f"{family}:k={k}",
-        family=record,
-        k=k,
-        weight=weight,
-        lam=Fraction(const.denominator),
-        D=weight + 1,
-    )
+    return CaseConfig(record, k)
 
 
 def uniformizer_series(config: CaseConfig, prec: int) -> QSeries:

@@ -54,9 +54,7 @@ def slope_empirical(
     lo, hi = window
     xs: list[int] = []
     ys: list[float] = []
-    for n in range(lo, hi + 1):
-        if n + 1 >= table.count:
-            break
+    for n in range(lo, min(hi + 1, len(table.rows) - 1)):
         first, second = table.rows[n], table.rows[n + 1]
         cross = first.a * second.b - second.a * first.b
         if cross == 0:
@@ -109,15 +107,19 @@ def criterion_check(
 
     The sign of the limit is fixed by the construction: H = sum (A_n +
     eta B_n) f^n and the table's b-list is sign_b * B, so the rows
-    approximate eta by -sign_b * p_n/q_n.  A window other than
-    0 <= LO <= HI < table.count raises ValueError.
+    approximate eta by -sign_b * p_n/q_n.  A table built for another case,
+    an oracle value at another prime, or a window other than
+    0 <= LO <= HI < len(table.rows) raises ValueError.
     """
     asymptotic = theta_closed(config)
     p = config.family.p
     if eta.p != p:
         raise ValueError("oracle prime does not match the case")
-    if not 0 <= window[0] <= window[1] < table.count:
-        raise ValueError(f"window {window} is not inside the table's rows 0..{table.count - 1}")
+    if table.case_id != config.case_id:
+        raise ValueError(f"table of {table.case_id} given for {config.case_id}")
+    last = len(table.rows) - 1
+    if not 0 <= window[0] <= window[1] <= last:
+        raise ValueError(f"window {window} is not inside the table's rows 0..{last}")
     sign = -config.family.sign_b
     exponent = eta.agreement_exponent
     certificates = []

@@ -89,7 +89,6 @@ class SequenceRow(NamedTuple):
 
 class SequenceTable(NamedTuple):
     case_id: str
-    count: int
     rows: tuple[SequenceRow, ...]
 
     def a_list(self) -> list[Fraction]:
@@ -128,7 +127,9 @@ def reexpanded_columns(
     w = family.series(family.p, config.weight, prec)
     wp = family.antiderivative(family.p, config.weight, prec)
     f = curves.uniformizer_series(config, prec)
-    scaled = config.lam * w
+    # Clearing the denominator of w's constant term (1/24, 1/12, 1/4 in the
+    # published tables) keeps b_n integral at higher weights, unlike 2/const.
+    scaled = w[0].denominator * w
     rows = reexpand(scaled, f, count, scaled * wp)
     for (b, a), scale in zip(rows, _scales(config.D, count)):
         if b.denominator != 1 or scale % a.denominator:
@@ -183,4 +184,4 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     if prefix < count:
         b_list, a_list = _extend(config, spec, b_list, a_list, count)
     rows = tuple(SequenceRow(n, a, b) for n, (b, a) in enumerate(zip(b_list, a_list)))
-    return SequenceTable(case_id=config.case_id, count=count, rows=rows)
+    return SequenceTable(case_id=config.case_id, rows=rows)

@@ -46,7 +46,7 @@ def test_catalog_constants():
             config = catalog(family, k)
             p, lam = cases[config.case_id]
             assert config.family.p == p
-            assert config.lam == lam
+            assert config.family.series(p, config.weight, 1)[0].denominator == lam
 
 
 def test_uniformizer_leading_coefficients():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicapery.curves import catalog
+from padicapery.curves import CaseConfig, catalog
 from padicapery.diophantine import (
     THETA_REQUIRED,
     Certificate,
@@ -14,7 +14,7 @@ from padicapery.diophantine import (
     theta_closed,
 )
 from padicapery.exactnum import vp
-from padicapery.expansion import SequenceRow, sequences
+from padicapery.expansion import SequenceRow, SequenceTable, sequences
 from padicapery.oracle import PadicValue, catalan_2adic_oracle, zeta_p_oracle
 
 PUBLISHED_THETAS = {
@@ -104,7 +104,7 @@ def reference_resolve_sign(table, eta, window):
     off the first two usable rows: the search the criterion used before the
     sign was taken from the construction."""
     probes = [
-        n for n in range(window[0], min(window[1] + 1, table.count))
+        n for n in range(window[0], min(window[1] + 1, len(table.rows)))
         if not table.rows[n].degenerate
     ][:2]
     assert len(probes) == 2
@@ -221,6 +221,17 @@ def test_criterion_rejects_mismatched_prime():
         criterion_check(config, table, zeta_p_oracle(2, 1, 20))
 
 
+def test_criterion_rejects_a_table_of_another_case():
+    """A table is only compared with its own case's limit: neither another
+    family's table nor another k's table is certified under the config."""
+    eta = zeta_p_oracle(2, 1, 40)
+    config = catalog("zeta-p2")
+    with pytest.raises(ValueError, match="table of catalan-p2 given for zeta-p2:k=1"):
+        criterion_check(config, sequences(catalog("catalan-p2"), 12), eta)
+    with pytest.raises(ValueError, match="table of zeta-p2:k=1 given for zeta-p2:k=2"):
+        criterion_check(catalog("zeta-p2", 2), sequences(config, 12), eta)
+
+
 def test_criterion_rejects_a_window_outside_the_table():
     """A window that ends past the last row is an error, not a shorter
     window, and a negative LO does not index rows from the end."""
@@ -235,8 +246,11 @@ def test_criterion_rejects_a_window_outside_the_table():
 
 
 def test_rows_and_certificates_hold_no_derived_fields():
-    """A row is (n, a, b) with an integer b, and a certificate leaves the
-    case and the sign to its report."""
+    """A case is (family, k), a table is (case_id, rows), a row is (n, a, b)
+    with an integer b, and a certificate leaves the case and the sign to its
+    report."""
+    assert CaseConfig._fields == ("family", "k")
+    assert SequenceTable._fields == ("case_id", "rows")
     assert SequenceRow._fields == ("n", "a", "b")
     for family, k in (("zeta-p2", 1), ("zeta-p2", 3), ("zeta-p3", 1), ("catalan-p2", 1)):
         table = sequences(catalog(family, k), 40)
@@ -255,7 +269,7 @@ def test_records_are_immutable_named_records():
         (config.family, "p"),
         (config, "k"),
         (table.rows[0], "b"),
-        (table, "count"),
+        (table, "rows"),
         (report.certificates[0], "valuation_gap"),
         (report, "verdict"),
         (eta, "agreement_exponent"),
@@ -263,7 +277,7 @@ def test_records_are_immutable_named_records():
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
-    assert table.count == 8
+    assert len(table.rows) == 8
     assert repr(PadicValue(Fraction(1, 2), 3, 2)) == (
         "PadicValue(representative=Fraction(1, 2), agreement_exponent=3, p=2)"
     )
