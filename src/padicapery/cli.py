@@ -51,16 +51,15 @@ _FORMS = {
     "f-prime": (False, False, lambda p, weight, prec: series_f_prime(prec)),
 }
 # Caps on the size arguments.  The slowest op inside all of them is `certify
-# --case zeta-p5 -k 10 -n 256 --window 3 255 --bits 2048`, about 9 s in a fresh
-# process on a 2-vCPU Xeon (8.2 s at -n 64 --window 3 63), nearly all of it
-# the oracle: its Newton check at n = 10, where t = 1 would put -20 in the pole
-# class, so M = 100 and the nodes reach weight 3680, takes about 6 s, and the
-# p = 5 series at 2048 digits (100 units at F = 125 modulo 5^2068) about 2.5 s.
-# Terms cost less: at 256 of them, `certify --case zeta-p2 -k 16 --bits 2048`
-# takes 2.3-3.9 s and `sequences --case zeta-p2 -k 16` 1.4-1.9 s, both by
-# re-expansion (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2
-# -k 2` 1.6-2.1 s, mostly re-expansion: exact elimination on the first 36 of
-# its 253 equations in 33 unknowns, then a check of the rest.
+# --case zeta-p5 -k 10 -n 256 --window 3 255 --bits 2048`, about 4 s in a fresh
+# process on a 2-vCPU Xeon (3.5-4 s at k = 13 and k = 16): the two p = 5 series
+# at 2048 digits (at F = 25 and F = 125) take about 2.3 s, the table 1.1 s and
+# the Newton check at n = 10 (M = 100, nodes to weight 1580) 0.35 s.  Terms
+# cost less: at 256 of them, `certify --case zeta-p2 -k 16 --bits 2048` and
+# `sequences --case zeta-p2 -k 16` take about 1.8 s, both by re-expansion
+# (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2 -k 2` 1.6 s,
+# mostly re-expansion: exact elimination on the first 36 of its 253 equations
+# in 33 unknowns, then a check of the rest.
 _MAX_BITS = 2048
 _MAX_INDEX = 16
 _MAX_TERMS = 256

@@ -31,27 +31,35 @@ the value: a proven agreement exponent, not a stabilisation heuristic.
 Two independent evaluations must agree with it to the weaker exponent, or
 the oracle raises ``OracleInconsistency``: the same series at ``F =
 p**(m+1)``, where every term carries other powers of p, and, at low
-precision, Newton extrapolation of exact L-values at the nodes ``2k_j =
-M * (j + 1) - 2n`` (``M`` a multiple of ``(p - 1) * p**t``), whose partial
-sums stabilise p-adically.
+precision, Newton extrapolation of exact L-values at the weights ``m_j =
+M * (j + 1) - 2n`` (``M = (p - 1) * p**t``), whose partial sums stabilise
+p-adically.  The pole of zeta_p at s = 1 is simple (Thm 5.11), so the zeta
+nodes are values of the analytic ``(s - 1) zeta_p(s)`` at s = 1 - m_j,
+divided by its ``s - 1 = 2n`` at the target: ``-m * zeta*(p, m) / (2n) =
+(1 - p**(m-1)) * B_m / (2n)``, whose limit at m = -2n is zeta_p(2n + 1)
+itself.  The Catalan nodes are the L-values, chi4 having no pole.  The
+extrapolation must stabilise to ``min(target_bits, 40)`` digits, or the
+oracle raises ``OracleInconsistency`` too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 # eisenstein.bernoulli is looked up per call, so a wrapper installed on the
 # module (such as perfbench's tracer) sees the series' indices too.
 from . import eisenstein
 from .eisenstein import chi4, l_chi4_neg, zeta_star
-from .exactnum import INFINITY, _require_prime, padic_digits, vp
+from .exactnum import INFINITY, _int_valuation, _require_prime, padic_digits, vp
 
 # Digits certified beyond the request.  A row is certified only while its
 # valuation gap is below the oracle's exponent, and at 40 digits some rows of
 # the default windows already have gaps of 43.
 _SLACK = 16
-# Precision of the Newton cross-check; its node weights grow with the digits.
+# Digits the Newton cross-check must reach, or fewer if fewer are requested;
+# its node weights grow with them.
 _NEWTON_BITS = 40
 _MIN_POINTS = 4
 _MAX_POINTS = 64
@@ -92,13 +100,12 @@ def _require_agreement(value: PadicValue, other: PadicValue) -> None:
 
 def _node_spacing(p: int, n: int) -> int:
     """The spacing M = (p - 1) * p**t of the Newton nodes, a period of the
-    weight classes, at the least t with M >= 16, the spacing the cross-check
-    is sized for, and M > 2n: the first node M - 2n must be a positive
-    weight, and -2n not 0 mod M, the class of the pole of zeta_p, where
-    differences do not shrink (at p = 2, n = 8, M = 16, nodes 16, 32, ...
-    keep valuations -11 to -5 for 64 nodes)."""
+    weight classes, at the least t with M > 2n, so that the first node M - 2n
+    is a positive weight (and M >= 4, as n >= 1).  The zeta nodes are values
+    of (s - 1) zeta_p(s), which has no pole, so no class of weights needs to
+    be kept away from s = 1."""
     spacing = p - 1
-    while spacing <= max(15, 2 * n):
+    while spacing <= 2 * n:
         spacing *= p
     return spacing
 
@@ -117,23 +124,33 @@ def _interpolated_limit(
     The running partial sum adds ``(-1)**j * delta^j g(0)`` at step j; the
     agreement exponent is the minimum valuation of the last two increments.
     Stops once that reaches ``target`` (or the point budget runs out) and
-    returns the best stabilized value seen.
+    returns the best stabilized value seen.  The differences and the sum are
+    integer numerators over ``den``, the lcm of the node denominators so far,
+    so an increment's valuation is its numerator's less ``vp(den)``.
     """
-    diagonal: list[Fraction] = []
-    total = Fraction(0)
+    diagonal: list[int] = []
+    den = 1
+    den_valuation = 0
+    total = 0
     sign = 1
     increments: list = []
     best_total = None
     best_exponent = None
     for j in range(_MAX_POINTS):
         value = g(spacing * (j + 1) - 2 * n)
-        new_diagonal = [value]
+        scale = value.denominator // gcd(den, value.denominator)
+        if scale > 1:
+            den *= scale
+            den_valuation = _int_valuation(den, p)
+            diagonal = [entry * scale for entry in diagonal]
+            total *= scale
+        new_diagonal = [value.numerator * (den // value.denominator)]
         for previous in diagonal:
             new_diagonal.append(new_diagonal[-1] - previous)
         diagonal = new_diagonal
         term = sign * diagonal[-1]
         if j > 0:
-            increments.append(vp(term, p))
+            increments.append(_int_valuation(term, p) - den_valuation if term else INFINITY)
         total += term
         sign = -sign
         if j + 1 < _MIN_POINTS or len(increments) < 2:
@@ -141,7 +158,7 @@ def _interpolated_limit(
         stabilized = _clamp(min(increments[-2], increments[-1]), target)
         if best_exponent is None or stabilized > best_exponent:
             best_exponent = stabilized
-            best_total = total
+            best_total = Fraction(total, den)
         if best_exponent >= target:
             break
     if best_exponent is None:
@@ -204,7 +221,8 @@ def _oracle(
     target_bits: int,
 ) -> PadicValue:
     """The series value at target_bits + _SLACK digits, once the series at
-    the next m and the Newton limit of g have agreed with it."""
+    the next m and the Newton limit of g have agreed with it, the latter
+    stabilised to min(target_bits, _NEWTON_BITS) digits."""
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
     # The least m with F = p**m >= 8, which makes 4 | F at p = 2.
@@ -212,9 +230,13 @@ def _oracle(
     exponent = target_bits + _SLACK
     value = _series_limit(twist, p, s_minus_1, m, exponent)
     _require_agreement(value, _series_limit(twist, p, s_minus_1, m + 1, exponent))
-    _require_agreement(
-        value, _interpolated_limit(g, p, _node_spacing(p, n), n, min(target_bits, _NEWTON_BITS))
-    )
+    depth = min(target_bits, _NEWTON_BITS)
+    newton = _interpolated_limit(g, p, _node_spacing(p, n), n, depth)
+    if newton.agreement_exponent < depth:
+        raise OracleInconsistency(
+            f"Newton cross-check reached {newton.agreement_exponent} of {depth} digits"
+        )
+    _require_agreement(value, newton)
     return value
 
 
@@ -230,7 +252,7 @@ def zeta_p_oracle(p: int, n: int = 1, target_bits: int = 40) -> PadicValue:
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _oracle(
-        lambda a: 1, 2 * n, lambda two_k: zeta_star(p, two_k), p, n, target_bits
+        lambda a: 1, 2 * n, lambda m: -m * zeta_star(p, m) / (2 * n), p, n, target_bits
     )
 
 

@@ -2,13 +2,14 @@
 and cross-checks against Newton interpolation."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from padicapery import eisenstein, oracle
 from padicapery.curves import catalog
 from padicapery.eisenstein import l_chi4_neg, zeta_star
-from padicapery.exactnum import vp
+from padicapery.exactnum import INFINITY, vp
 from padicapery.expansion import sequences
 from padicapery.oracle import (
     OracleInconsistency,
@@ -102,12 +103,73 @@ def test_digits_stop_below_agreement_exponent(p, n):
 
 
 @pytest.mark.parametrize(
-    "p, n, t", [(2, 1, 4), (2, 16, 6), (3, 1, 2), (3, 16, 3), (5, 1, 1), (5, 10, 2)]
+    "p, n, t", [(2, 1, 2), (2, 16, 6), (3, 1, 1), (3, 16, 3), (5, 1, 0), (5, 10, 2)]
 )
 def test_stride_exponent(p, n, t):
-    """The node spacing is the least M = (p - 1) * p**t with M >= 16 and
-    M > 2n: 16, 64, 18, 54, 20 and 100 here."""
+    """The node spacing is the least M = (p - 1) * p**t with M >= 4 and
+    M > 2n: 4, 64, 6, 54, 4 and 100 here."""
     assert oracle._node_spacing(p, n) == (p - 1) * p**t
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 16])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_zeta_nodes_reach_40_digits(p, n):
+    """The oracle's nodes, (s - 1) zeta_p(s) at s = 1 - m over its s - 1 = 2n
+    at the target, reach 40 digits at the oracle's spacing and agree there
+    with the series."""
+
+    def node(m):
+        return (1 - Fraction(p) ** (m - 1)) * eisenstein.bernoulli(m) / (2 * n)
+
+    newton = oracle._interpolated_limit(node, p, oracle._node_spacing(p, n), n, 40)
+    assert newton.agreement_exponent >= 40
+    series = zeta_p_oracle(p, n, 40)
+    assert vp(series.representative - newton.representative, p) >= 40
+
+
+def reference_interpolated_limit(g, p, spacing, n, target):
+    """Newton extrapolation to j = -1 on Fractions, stopping at the first
+    stabilization to target; returns the best (exponent, partial sum)."""
+    values = []
+    total = Fraction(0)
+    increments = []
+    best = None
+    for j in range(64):
+        values.append(g(spacing * (j + 1) - 2 * n))
+        # delta^j g(0) = sum_i (-1)**(j - i) binom(j, i) g(i)
+        term = (-1) ** j * sum(
+            (-1) ** (j - i) * comb(j, i) * value for i, value in enumerate(values)
+        )
+        if j > 0:
+            increments.append(vp(term, p))
+        total += term
+        if j < 3 or len(increments) < 2:
+            continue
+        exponent = min(increments[-2:])
+        exponent = target + 64 if exponent == INFINITY else exponent
+        if best is None or exponent > best[0]:
+            best = (exponent, total)
+        if best[0] >= target:
+            break
+    return best
+
+
+@pytest.mark.parametrize(
+    "p, g, spacing, n, target",
+    [
+        (2, lambda m: zeta_star(2, m), 16, 1, 200),
+        (5, lambda m: zeta_star(5, m), 20, 1, 60),
+        (2, l_chi4_neg, 4, 1, 40),
+        (3, lambda m: -m * zeta_star(3, m) / 4, 6, 2, 40),
+        (5, lambda m: -m * zeta_star(5, m) / 2, 4, 1, 40),
+        (2, lambda m: -m * zeta_star(2, m) / 32, 64, 16, 40),
+    ],
+)
+def test_integer_differences_match_a_fraction_reference(p, g, spacing, n, target):
+    newton = oracle._interpolated_limit(g, p, spacing, n, target)
+    exponent, representative = reference_interpolated_limit(g, p, spacing, n, target)
+    assert newton.agreement_exponent == exponent
+    assert newton.representative == representative
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 11])
@@ -151,9 +213,11 @@ ORACLES = {
     ],
 )
 def test_series_agrees_with_newton_at_200_bits(target, g, newton_exponent):
-    """The slow reference path, run as deep as its node budget reaches."""
+    """The slow reference path, run as deep as its node budget reaches at the
+    spacings the exponents were recorded at."""
     p, evaluate = ORACLES[target]
-    newton = oracle._interpolated_limit(g, p, oracle._node_spacing(p, 1), 1, 200)
+    spacing = {"zeta-p2": 16, "zeta-p3": 18, "zeta-p5": 20, "catalan": 16}[target]
+    newton = oracle._interpolated_limit(g, p, spacing, 1, 200)
     assert newton.agreement_exponent == newton_exponent
     series = evaluate(200)
     assert vp(series.representative - newton.representative, p) >= newton_exponent
@@ -181,6 +245,21 @@ def test_wrong_bernoulli_number_is_an_inconsistency(p, monkeypatch):
     monkeypatch.setattr(eisenstein, "bernoulli", wrong)
     with pytest.raises(OracleInconsistency):
         zeta_p_oracle(p, 1, 200)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_newton_shortfall_is_an_inconsistency(p, monkeypatch):
+    """The series at 40 digits reads no B_i with i >= 30, so only the Newton
+    check sees these; it must reach its 40 digits, not merely agree with the
+    series at the few digits it did reach."""
+    real = eisenstein.bernoulli
+
+    def wrong(index):
+        return real(index) + (index >= 30)
+
+    monkeypatch.setattr(eisenstein, "bernoulli", wrong)
+    with pytest.raises(OracleInconsistency, match="Newton cross-check reached"):
+        zeta_p_oracle(p, 1, 40)
 
 
 @pytest.mark.parametrize("target", ["catalan", "zeta-p2", "zeta-p3", "zeta-p5"])
