@@ -57,9 +57,9 @@ _FORMS = {
 # the Newton check at n = 10 (M = 100, nodes to weight 1580) 0.35 s.  Terms
 # cost less: at 256 of them, `certify --case zeta-p2 -k 16 --bits 2048` and
 # `sequences --case zeta-p2 -k 16` take about 1.8 s, both by re-expansion
-# (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2 -k 2` 1.6 s,
-# mostly re-expansion: exact elimination on the first 36 of its 253 equations
-# in 33 unknowns, then a check of the rest.
+# (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2 -k 2` about
+# 1 s, mostly re-expansion: fraction-free integer elimination on the first 36
+# of its 253 equations in 33 unknowns, then a check of the rest (70 ms).
 _MAX_BITS = 2048
 _MAX_INDEX = 16
 _MAX_TERMS = 256

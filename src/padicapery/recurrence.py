@@ -14,7 +14,7 @@ prefix in integers with ``extend_integers``; ``recurrence verify`` makes
 the same call on tables built by re-expansion alone.
 
 ``fit_recurrence`` recovers such a relation from raw values, integers (b)
-or Fractions (a), by exact linear algebra over the rationals, and refuses
+or Fractions (a), by fraction-free elimination in integers, and refuses
 when it is not unique up to scale.  A fitted spec proves nothing by itself,
 but verifying it on rows not used in the fit is a strong structural check.
 """
@@ -191,94 +191,77 @@ def extend_integers(
     return out
 
 
-def _nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the solution space of rows * x = 0, by exact elimination."""
+def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Primitive integer basis of the solutions of rows * x = 0.
+
+    Fraction-free Gauss-Jordan elimination, after Bareiss (Math. Comp. 22,
+    1968): a row is cleared against the pivot row by cross-multiplication,
+    then divided by its content (the gcd of its entries) in place of
+    Bareiss's exact divisor, so every entry stays a small integer.
+    """
     matrix = [row[:] for row in rows]
     pivots: list[int] = []
-    rank = 0
     for col in range(width):
-        pivot_row = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot_row = r
-                break
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot_row is None:
             continue
         matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        lead = matrix[rank][col]
-        matrix[rank] = [entry / lead for entry in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    entry - factor * matrix[rank][j]
-                    for j, entry in enumerate(matrix[r])
-                ]
+        pivot = matrix[rank]
+        for r, row in enumerate(matrix):
+            if r != rank and row[col]:
+                g = gcd(pivot[col], row[col])
+                lead, factor = pivot[col] // g, row[col] // g
+                row = [lead * entry - factor * above for entry, above in zip(row, pivot)]
+                content = gcd(*row) or 1
+                matrix[r] = [entry // content for entry in row]
         pivots.append(col)
-        rank += 1
-        if rank == len(matrix):
+        if len(pivots) == len(matrix):
             break
-    free = [col for col in range(width) if col not in pivots]
+    scale = lcm(*(matrix[i][col] for i, col in enumerate(pivots)))
     basis = []
-    for free_col in free:
-        vector = [Fraction(0)] * width
-        vector[free_col] = Fraction(1)
-        for row_index, pivot_col in enumerate(pivots):
-            vector[pivot_col] = -matrix[row_index][free_col]
-        basis.append(vector)
+    for free_col in range(width):
+        if free_col in pivots:
+            continue
+        vector = [0] * width
+        vector[free_col] = scale
+        for i, col in enumerate(pivots):
+            vector[col] = -matrix[i][free_col] * (scale // matrix[i][col])
+        content = gcd(*vector)
+        basis.append([entry // content for entry in vector])
     return basis
-
-
-def _normalize(vector: list[Fraction], order: int, degree: int) -> RecurrenceSpec:
-    denom = 1
-    for entry in vector:
-        denom = denom * entry.denominator // gcd(denom, entry.denominator)
-    ints = [int(entry * denom) for entry in vector]
-    content = 0
-    for value in ints:
-        content = gcd(content, value)
-    if content:
-        ints = [value // content for value in ints]
-    polys = [
-        tuple(ints[i * (degree + 1) : (i + 1) * (degree + 1)])
-        for i in range(order + 1)
-    ]
-    leading = next((c for c in reversed(polys[0]) if c != 0), 0)
-    if leading < 0:
-        polys = [tuple(-c for c in poly) for poly in polys]
-    return RecurrenceSpec(tuple(polys))
 
 
 def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
     """Recover the order/degree recurrence annihilating the sequence.
 
-    Every relation index n = order .. len(seq) - 2 gives an equation.  The
+    Every relation index n = order .. len(seq) - 2 gives an equation, in
+    integers once each is multiplied by the lcm of its denominators.  The
     first width + order + 1 of them, width = (order + 1) * (degree + 1), are
     eliminated; a solution space of dimension at most 1 there is kept only
     where it vanishes on the rest, and a larger one is recomputed over every
     equation, so the result is that of eliminating over all of them.
-    Raises ValueError when no nonzero relation exists, when it is not unique
-    up to scale (it times a factor of lower degree fits too; lower the
-    degree), or when its leading polynomial vanishes identically (the true
-    order is smaller; refit with it).
+    Raises ValueError when there are fewer than width + order + 1 values,
+    when no nonzero relation exists, when it is not unique up to scale (it
+    times a factor of lower degree fits too; lower the degree), or when its
+    leading polynomial vanishes identically (the true order is smaller;
+    refit with it).
     """
     if order < 1 or degree < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
     width = (order + 1) * (degree + 1)
+    known = width + order + 1
+    if len(seq) < known:
+        raise ValueError(f"not enough sequence values for this order and degree (need {known})")
     equations = []
     for n in range(order, len(seq) - 1):
-        row = []
-        for i in range(order + 1):
-            u = Fraction(seq[n + 1 - i])
-            for power in range(degree + 1):
-                row.append(u * n**power)
-        equations.append(row)
-    if len(equations) < width:
-        raise ValueError("not enough sequence values for this order and degree")
-    known = width + order + 1
-    basis = _nullspace(equations[:known], width)
+        terms = [seq[n + 1 - i] for i in range(order + 1)]
+        den = lcm(*(u.denominator for u in terms))
+        scaled = [u.numerator * (den // u.denominator) for u in terms]
+        equations.append([c * n**power for c in scaled for power in range(degree + 1)])
+    basis = _kernel(equations[:known], width)
     if len(basis) > 1:
-        basis = _nullspace(equations, width)
+        basis = _kernel(equations, width)
     else:
         basis = [
             vector
@@ -289,6 +272,9 @@ def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
         raise ValueError("no recurrence of this order and degree fits")
     if len(basis) > 1:
         raise ValueError("the relation is not unique at this order and degree; lower the degree")
-    if not any(basis[0][: degree + 1]):
+    polys = [tuple(basis[0][i : i + degree + 1]) for i in range(0, width, degree + 1)]
+    if not any(polys[0]):
         raise ValueError("leading polynomial vanishes; reduce the order")
-    return _normalize(basis[0], order, degree)
+    if next(c for c in reversed(polys[0]) if c) < 0:
+        polys = [tuple(-c for c in poly) for poly in polys]
+    return RecurrenceSpec(tuple(polys))

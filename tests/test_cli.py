@@ -660,7 +660,7 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path):
         ({"PADICAPERY_MAX_TERMS": "100000"}, "sequences --case zeta-p2 -n 257",
          "-n 257 exceeds the cap of 256"),
         ({}, "recurrence fit -n 10",
-         "-n 10: not enough sequence values for this order and degree"),
+         "-n 10: not enough sequence values for this order and degree (need 12)"),
         ({}, "series --form e --weight 34 --prec 2", "--weight 34 exceeds the cap of 33"),
         ({}, "series --case zeta-p2 --p 3 --weight 99",
          "--p and --weight do not apply to --case"),

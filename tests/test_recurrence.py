@@ -1,10 +1,14 @@
 """The built-in recurrences: verification, regeneration, and exact fitting."""
 
+import functools
 import math
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padicapery import expansion, recurrence
 from padicapery.cli import main
@@ -109,9 +113,10 @@ def test_extend_integers_refuses_a_vanishing_leading_polynomial():
         extend_integers(spec, [2, -1], 5)
 
 
-@pytest.mark.parametrize(
-    "family,k", [(name, k) for name, record in FAMILY_TABLE.items() for k in record.recurrence]
-)
+BUILTIN_CASES = [(name, k) for name, record in FAMILY_TABLE.items() for k in record.recurrence]
+
+
+@pytest.mark.parametrize("family,k", BUILTIN_CASES)
 def test_leading_polynomial_is_nonzero_below_the_cap(family, k):
     spec = FAMILY_TABLE[family].recurrence[k]
     assert all(spec.poly_value(0, n) != 0 for n in range(256))
@@ -122,27 +127,91 @@ def test_fit_recovers_catalan_recurrence(catalan_table):
     assert fitted == CATALAN_P2
 
 
+def _rank(rows, width):
+    """The rank of rows, by Gaussian elimination over the rationals."""
+    matrix = [[Fraction(entry) for entry in row] for row in rows]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col] / matrix[rank][col]
+            matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width), max_size=7),
+        )
+    )
+)
+def test_kernel_is_a_primitive_basis(case):
+    width, rows = case
+    basis = recurrence._kernel(rows, width)
+    assert len(basis) == width - _rank(rows, width)
+    assert _rank(basis, width) == len(basis)
+    for vector in basis:
+        assert math.gcd(*vector) == 1
+        assert all(sum(map(mul, row, vector)) == 0 for row in rows)
+
+
+def _integer_rows(seq, order, degree, stop):
+    """The equations of relation indices order .. stop - 1, each times the
+    lcm of its denominators."""
+    rows = []
+    for n in range(order, stop):
+        terms = [Fraction(seq[n + 1 - i]) for i in range(order + 1)]
+        den = math.lcm(*(u.denominator for u in terms))
+        rows.append([int(u * den) * n**power for u in terms for power in range(degree + 1)])
+    return rows
+
+
 def _fit_over_every_row(seq, order, degree):
     """fit_recurrence by elimination over every equation at once."""
     width = (order + 1) * (degree + 1)
-    equations = [
-        [Fraction(seq[n + 1 - i]) * n**power for i in range(order + 1) for power in range(degree + 1)]
-        for n in range(order, len(seq) - 1)
-    ]
-    basis = recurrence._nullspace(equations, width)
+    basis = recurrence._kernel(_integer_rows(seq, order, degree, len(seq) - 1), width)
     if len(basis) != 1 or not any(basis[0][: degree + 1]):
         raise ValueError("no unique relation with a nonzero leading polynomial")
-    return recurrence._normalize(basis[0], order, degree)
+    polys = [tuple(basis[0][i : i + degree + 1]) for i in range(0, width, degree + 1)]
+    sign = 1 if next(c for c in reversed(polys[0]) if c) > 0 else -1
+    return RecurrenceSpec(tuple(tuple(sign * c for c in poly) for poly in polys))
 
 
-@pytest.mark.parametrize(
-    "family,k", [(name, k) for name, record in FAMILY_TABLE.items() for k in record.recurrence]
-)
+@functools.cache
+def _b_column(family, k):
+    return reexpanded_columns(catalog(family, k), 64)[0]
+
+
+@pytest.mark.parametrize("family,k", BUILTIN_CASES)
 def test_fit_equals_elimination_over_every_row(family, k):
     spec = FAMILY_TABLE[family].recurrence[k]
-    b_list, _ = reexpanded_columns(catalog(family, k), 64)
+    b_list = _b_column(family, k)
     assert fit_recurrence(b_list, spec.order, spec.degree) == spec
     assert _fit_over_every_row(b_list, spec.order, spec.degree) == spec
+
+
+@pytest.mark.parametrize("family,k", BUILTIN_CASES)
+def test_fit_from_the_least_length(family, k):
+    """width + order + 1 values, one equation per unknown, give each relation;
+    one value fewer is refused, and the error names the count."""
+    spec = FAMILY_TABLE[family].recurrence[k]
+    least = (spec.order + 1) * (spec.degree + 1) + spec.order + 1
+    b_list = _b_column(family, k)
+    assert fit_recurrence(b_list[:least], spec.order, spec.degree) == spec
+    with pytest.raises(ValueError, match=rf"not enough sequence values .*\(need {least}\)"):
+        fit_recurrence(b_list[: least - 1], spec.order, spec.degree)
+
+
+def test_fit_reproduces_the_recorded_fits():
+    """The fits named where ZETA_P2_K2 and ZETA_P5 are defined."""
+    assert fit_recurrence(_b_column("zeta-p2", 2)[:47], 2, 10) == recurrence.ZETA_P2_K2
+    assert fit_recurrence(_b_column("zeta-p5", 1)[:46], 4, 5) == recurrence.ZETA_P5
 
 
 @pytest.mark.parametrize(
@@ -159,11 +228,8 @@ def test_fit_equals_elimination_over_every_row(family, k):
 )
 def test_fit_equals_elimination_over_every_row_past_a_plane(seq, order, degree):
     width = (order + 1) * (degree + 1)
-    equations = [
-        [Fraction(seq[n + 1 - i]) * n**power for i in range(order + 1) for power in range(degree + 1)]
-        for n in range(order, width + 2 * order + 1)
-    ]
-    assert len(recurrence._nullspace(equations, width)) >= 2
+    equations = _integer_rows(seq, order, degree, width + 2 * order + 1)
+    assert len(recurrence._kernel(equations, width)) >= 2
     try:
         expected = _fit_over_every_row(seq, order, degree)
     except ValueError:
