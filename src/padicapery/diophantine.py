@@ -127,7 +127,7 @@ def criterion_check(
         if table.rows[n].degenerate:
             continue
         ratio = table.ratio(n)
-        log_max = log_size(max(abs(ratio.numerator), ratio.denominator, 1))
+        log_max = log_size(max(abs(ratio.numerator), ratio.denominator))
         gap = vp(eta.representative - sign * ratio, p)
         certified = gap < exponent
         clamped = int(min(gap, exponent))

@@ -106,21 +106,13 @@ def padic_digits(x: Fraction | int, p: int, count: int) -> list[tuple[int, int]]
     return out
 
 
-def _log_int(n: int) -> float:
-    # Natural log of a positive integer, safe far beyond float overflow.
-    if n.bit_length() <= 512:
-        return math.log(n)
-    shift = n.bit_length() - 64
-    return math.log(n >> shift) + shift * math.log(2)
-
-
-def log_size(x: Fraction | int) -> float:
-    """log max(|numerator|, denominator), the Archimedean height of x.
+def log_size(n: int) -> float:
+    """Natural log of a positive integer, such as a height max(|p_n|, q_n).
 
     Good to well over 12 significant digits even for operands that overflow
     float conversion.
     """
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("log_size(0) is undefined")
-    return _log_int(max(abs(x.numerator), x.denominator))
+    if n.bit_length() <= 512:
+        return math.log(n)
+    shift = n.bit_length() - 64
+    return math.log(n >> shift) + shift * math.log(2)

@@ -257,5 +257,7 @@ def zeta_p_oracle(p: int, n: int = 1, target_bits: int = 40) -> PadicValue:
 
 
 def catalan_2adic_oracle(target_bits: int = 40) -> PadicValue:
-    """The 2-adic Catalan constant L_2(2): the limit of E_{2k}/2 as 2k -> -2."""
+    """The 2-adic Catalan constant L_2(2), the limit of E_{2k}/2 as 2k -> -2,
+    as a rational representative with a proven agreement exponent of
+    ``target_bits + _SLACK``."""
     return _oracle(chi4, 1, l_chi4_neg, 2, 1, target_bits)

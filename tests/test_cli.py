@@ -6,14 +6,13 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 from padicapery import cli, curves
 from padicapery.cli import main
 from padicapery.curves import catalog
-from padicapery.oracle import OracleInconsistency, PadicValue
+from padicapery.oracle import OracleInconsistency
 from padicapery.recurrence import RecurrenceSpec
 
 
@@ -333,17 +332,6 @@ def test_certified_rows_keep_their_gaps(op, capsys):
     certified = {row["n"]: row["valuation_gap"] for row in rows if row["certified"]}
     for n, gap in enumerate(gaps, start=3):
         assert certified.get(n) == gap, n
-
-
-def test_oracle_reports_shortfall_on_stderr(capsys, monkeypatch):
-    def short(p, n, bits):
-        return PadicValue(Fraction(1, 3), 241, p)
-
-    monkeypatch.setattr(cli, "zeta_p_oracle", short)
-    code, out, err = run_cli(capsys, "oracle", "--target", "zeta-p2", "--bits", "300")
-    assert code == 0
-    assert json.loads(out)["agreement_exponent"] == 241
-    assert err == "oracle: certified 241 of 300 requested digits (p = 2)\n"
 
 
 @pytest.mark.parametrize(

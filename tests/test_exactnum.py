@@ -151,10 +151,3 @@ def test_log_size_matches_math_log():
     assert math.isclose(log_size(10**6), 6 * math.log(10), rel_tol=1e-12)
     huge = 7**900
     assert math.isclose(log_size(huge), 900 * math.log(7), rel_tol=1e-9)
-    # height of a fraction is the max of numerator and denominator sizes
-    assert math.isclose(
-        log_size(Fraction(-(3**400), 2)), 400 * math.log(3), rel_tol=1e-9
-    )
-    assert math.isclose(
-        log_size(Fraction(2, 3**400)), 400 * math.log(3), rel_tol=1e-9
-    )

@@ -23,6 +23,7 @@ from padicapery.expansion import (
     sequences,
 )
 from padicapery.qseries import QSeries
+from padicapery.recurrence import RecurrenceSpec
 
 ZETA_P2_B = [1, 24, -552, 19392, -810024, 37210944, -1815620160]
 ZETA_P2_A = [
@@ -287,6 +288,30 @@ def test_non_integral_row_fails_a_table_without_a_relation(capsys, monkeypatch):
     # Rows 0..2 do not see the q^3 term.
     assert main(["sequences", "--case", "zeta-p3", "-k", "2", "-n", "3"]) == 0
 
+
+def test_relation_that_cannot_run_on_fails_the_table(capsys, monkeypatch):
+    """zeta-p2's relation times (n - 40) still holds on every row, so it
+    passes the 21-row prefix check, but it cannot solve for row 41."""
+    family = FAMILY_TABLE["zeta-p2"]
+    spec = family.recurrence[1]
+    scaled = RecurrenceSpec(
+        tuple(
+            tuple(lower - 40 * coeff for lower, coeff in zip((0,) + poly, poly + (0,)))
+            for poly in spec.coeff_polys
+        )
+    )
+    recurrences = {**family.recurrence, 1: scaled}
+    monkeypatch.setitem(FAMILY_TABLE, "zeta-p2", family._replace(recurrence=recurrences))
+    assert _prefix("zeta-p2", 1) == 21
+    assert main(["sequences", "--case", "zeta-p2", "-n", "41"]) == 0
+    capsys.readouterr()
+    code = main(["sequences", "--case", "zeta-p2", "-n", "42"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "identity check failed: recurrence fails for zeta-p2:k=1: "
+        "leading polynomial vanishes at n = 40\n"
+    )
 
 
 def test_ratio_of_a_degenerate_row_raises():

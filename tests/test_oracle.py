@@ -234,6 +234,21 @@ def test_oracle_never_over_claims(target, bits):
     assert agreement >= shallow.agreement_exponent
 
 
+@pytest.mark.parametrize(
+    "target, n",
+    [(f"zeta-p{p}", n) for p in (2, 3, 5) for n in (1, 8, 16)] + [("catalan", 1)],
+)
+def test_oracle_certifies_exactly_the_request_and_slack(target, n):
+    """Every oracle certifies target_bits + _SLACK digits, never fewer: a
+    shortfall raises OracleInconsistency instead of being returned."""
+    for bits in (1, 7, 40, 300):
+        if target == "catalan":
+            value = catalan_2adic_oracle(bits)
+        else:
+            value = zeta_p_oracle(int(target.removeprefix("zeta-p")), n, bits)
+        assert value.agreement_exponent == bits + oracle._SLACK
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_wrong_bernoulli_number_is_an_inconsistency(p, monkeypatch):
     """A bad table entry moves the series at F = p**m and F = p**(m+1) apart."""
