@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import curves
 from .qseries import QSeries
-from .recurrence import RecurrenceSpec, column_violations, extend_integers
+from .recurrence import RecurrenceSpec, column_violations, extend_integers, fit_length
 
 __all__ = [
     "reexpand",
@@ -177,9 +177,7 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
     if count < 1:
         raise ValueError("count must be >= 1")
     spec = config.family.recurrence.get(config.k)
-    prefix = count
-    if spec is not None:
-        prefix = min(count, (spec.order + 1) * (spec.degree + 1) + spec.order + 1)
+    prefix = count if spec is None else min(count, fit_length(spec.order, spec.degree))
     b_list, a_list = reexpanded_columns(config, prefix)
     if prefix < count:
         b_list, a_list = _extend(config, spec, b_list, a_list, count)

@@ -119,12 +119,13 @@ def _clamp(exponent, target: int) -> int:
 def _interpolated_limit(
     g: Callable[[int], Fraction], p: int, spacing: int, n: int, target: int
 ) -> PadicValue:
-    """Newton-extrapolate g(spacing*(j+1) - 2n) to j = -1, tracking stabilization.
+    """Newton-extrapolate g(spacing*(j+1) - 2n) to j = -1, to ``target`` digits.
 
-    The running partial sum adds ``(-1)**j * delta^j g(0)`` at step j; the
-    agreement exponent is the minimum valuation of the last two increments.
-    Stops once that reaches ``target`` (or the point budget runs out) and
-    returns the best stabilized value seen.  The differences and the sum are
+    The running partial sum adds ``(-1)**j * delta^j g(0)`` at step j and has
+    stabilised to the lesser valuation of the last two increments.  Returns
+    the first sum, from node _MIN_POINTS on, stabilised to ``target``, with its
+    exponent; if _MAX_POINTS nodes do not get there, raises OracleInconsistency
+    naming the most digits any node reached.  The differences and the sum are
     integer numerators over ``den``, the lcm of the node denominators so far,
     so an increment's valuation is its numerator's less ``vp(den)``.
     """
@@ -133,9 +134,8 @@ def _interpolated_limit(
     den_valuation = 0
     total = 0
     sign = 1
-    increments: list = []
-    best_total = None
-    best_exponent = None
+    last = INFINITY
+    reached = -INFINITY
     for j in range(_MAX_POINTS):
         value = g(spacing * (j + 1) - 2 * n)
         scale = value.denominator // gcd(den, value.denominator)
@@ -149,21 +149,16 @@ def _interpolated_limit(
             new_diagonal.append(new_diagonal[-1] - previous)
         diagonal = new_diagonal
         term = sign * diagonal[-1]
-        if j > 0:
-            increments.append(_int_valuation(term, p) - den_valuation if term else INFINITY)
         total += term
         sign = -sign
-        if j + 1 < _MIN_POINTS or len(increments) < 2:
-            continue
-        stabilized = _clamp(min(increments[-2], increments[-1]), target)
-        if best_exponent is None or stabilized > best_exponent:
-            best_exponent = stabilized
-            best_total = Fraction(total, den)
-        if best_exponent >= target:
-            break
-    if best_exponent is None:
-        raise OracleInconsistency("not enough interpolation nodes to stabilize")
-    return PadicValue(best_total, best_exponent, p)
+        increment = _int_valuation(term, p) - den_valuation if term else INFINITY
+        if j + 1 >= _MIN_POINTS:
+            stabilized = _clamp(min(last, increment), target)
+            if stabilized >= target:
+                return PadicValue(Fraction(total, den), stabilized, p)
+            reached = max(reached, stabilized)
+        last = increment
+    raise OracleInconsistency(f"Newton cross-check reached {reached} of {target} digits")
 
 
 def _residue(x: Fraction, modulus: int) -> int:
@@ -221,8 +216,8 @@ def _oracle(
     target_bits: int,
 ) -> PadicValue:
     """The series value at target_bits + _SLACK digits, once the series at
-    the next m and the Newton limit of g have agreed with it, the latter
-    stabilised to min(target_bits, _NEWTON_BITS) digits."""
+    the next m has agreed with it, and so has the Newton limit of g, which
+    reaches min(target_bits, _NEWTON_BITS) digits or raises."""
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
     # The least m with F = p**m >= 8, which makes 4 | F at p = 2.
@@ -231,12 +226,7 @@ def _oracle(
     value = _series_limit(twist, p, s_minus_1, m, exponent)
     _require_agreement(value, _series_limit(twist, p, s_minus_1, m + 1, exponent))
     depth = min(target_bits, _NEWTON_BITS)
-    newton = _interpolated_limit(g, p, _node_spacing(p, n), n, depth)
-    if newton.agreement_exponent < depth:
-        raise OracleInconsistency(
-            f"Newton cross-check reached {newton.agreement_exponent} of {depth} digits"
-        )
-    _require_agreement(value, newton)
+    _require_agreement(value, _interpolated_limit(g, p, _node_spacing(p, n), n, depth))
     return value
 
 

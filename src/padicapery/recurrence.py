@@ -232,6 +232,11 @@ def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
     return basis
 
 
+def fit_length(order: int, degree: int) -> int:
+    """How many values give fit_recurrence one equation per unknown."""
+    return (order + 1) * (degree + 1) + order + 1
+
+
 def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
     """Recover the order/degree recurrence annihilating the sequence.
 
@@ -250,7 +255,7 @@ def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
     if order < 1 or degree < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
     width = (order + 1) * (degree + 1)
-    known = width + order + 1
+    known = fit_length(order, degree)
     if len(seq) < known:
         raise ValueError(f"not enough sequence values for this order and degree (need {known})")
     equations = []

@@ -422,6 +422,11 @@ def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
         ("series --case zeta-p2 -k 1000000", "unrecognized arguments: -k 1000000"),
         ("series --form e --weight 34", "--weight 34 exceeds the cap of 33"),
         ("series --case zeta-p2 --prec 257", "--prec 257 exceeds the cap of 256"),
+        (
+            "series --form e-star --p 1000000000000000003 --weight 2 --prec 3",
+            "--p 1000000000000000003 exceeds the cap of 65536",
+        ),
+        ("series --form evil --p 65537 --weight 4", "--p 65537 exceeds the cap of 65536"),
         ("sequences --case zeta-p2 -n 257", "-n 257 exceeds the cap of 256"),
         ("certify --case zeta-p2 -n 257", "-n 257 exceeds the cap of 256"),
         ("certify --case zeta-p2 --window 3 256", "--window rows 257 exceeds the cap of 256"),
@@ -432,7 +437,13 @@ def test_size_caps_are_usage_errors(argv, message, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a capped request must not compute anything")
 
-    for name in ("zeta_p_oracle", "catalan_2adic_oracle", "sequences"):
+    for name in (
+        "zeta_p_oracle",
+        "catalan_2adic_oracle",
+        "sequences",
+        "series_e_star",
+        "series_evil",
+    ):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(cli.curves, "catalog", refuse)
     monkeypatch.setattr(cli.curves, "uniformizer_series", refuse)
