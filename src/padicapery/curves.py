@@ -83,8 +83,10 @@ class Family(NamedTuple):
 
     @property
     def v(self) -> Fraction:
-        """Valuation growth exponent: the cross differences
-        a_n b_(n+1) - a_(n+1) b_n gain v = 2e p-adic digits per row."""
+        """Valuation growth exponent v = 2e.  Order-2 relations give the cross
+        differences W_n = a_n b_(n+1) - a_(n+1) b_n the exact identity P_0(n) W_n =
+        P_2(n) W_(n-1), so W gains vp(P_2(n) / P_0(n)) digits at row n, v on
+        average; zeta-p5's order-4 growth v = 3 is measured only: 2.90 to 3.05."""
         return 2 * self.e
 
 

@@ -39,33 +39,6 @@ def theta_closed(config: CaseConfig) -> float:
     return family.v * log_p / (family.e * log_p + config.D)
 
 
-def slope_empirical(
-    table: SequenceTable, p: int, window: tuple[int, int] = (5, 24)
-) -> float:
-    """Least-squares slope of n -> vp(a_n b_{n+1} - a_{n+1} b_n).
-
-    The cross-differences of a healthy table gain p-adic digits linearly;
-    the slope is the per-step gain and should match the family's v.
-    """
-    # Imported here: no CLI path calls this, and every CLI run pays for
-    # its imports.
-    import statistics
-
-    lo, hi = window
-    xs: list[int] = []
-    ys: list[float] = []
-    for n in range(lo, min(hi + 1, len(table.rows) - 1)):
-        first, second = table.rows[n], table.rows[n + 1]
-        cross = first.a * second.b - second.a * first.b
-        if cross == 0:
-            continue
-        xs.append(n)
-        ys.append(vp(cross, p))
-    if len(xs) < 3:
-        raise ValueError("window too small for a slope estimate")
-    return statistics.linear_regression(xs, ys).slope
-
-
 class Certificate(NamedTuple):
     """Outcome of the criterion at one row; case and sign are the report's.
 

@@ -233,24 +233,24 @@ def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
 
 
 def fit_length(order: int, degree: int) -> int:
-    """How many values give fit_recurrence one equation per unknown."""
+    """How many values give fit_recurrence one equation per unknown; seq[0] is
+    counted only so that seq[n] is u_n, since no equation reads it."""
     return (order + 1) * (degree + 1) + order + 1
 
 
 def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
     """Recover the order/degree recurrence annihilating the sequence.
 
-    Every relation index n = order .. len(seq) - 2 gives an equation, in
-    integers once each is multiplied by the lcm of its denominators.  The
-    first width + order + 1 of them, width = (order + 1) * (degree + 1), are
-    eliminated; a solution space of dimension at most 1 there is kept only
+    Every relation index n = order .. len(seq) - 2 gives an equation, in integers
+    once scaled by the lcm of its denominators; the first, at n = order, reaches
+    back to seq[1], never seq[0].  The first fit_length(order, degree) equations
+    are eliminated; a solution space of dimension at most 1 there is kept only
     where it vanishes on the rest, and a larger one is recomputed over every
-    equation, so the result is that of eliminating over all of them.
-    Raises ValueError when there are fewer than width + order + 1 values,
-    when no nonzero relation exists, when it is not unique up to scale (it
-    times a factor of lower degree fits too; lower the degree), or when its
-    leading polynomial vanishes identically (the true order is smaller;
-    refit with it).
+    equation, so the result is that of eliminating over all of them.  Raises
+    ValueError on fewer than fit_length(order, degree) values, when no nonzero
+    relation exists, when it is not unique up to scale (it times a factor of
+    lower degree fits too; lower the degree), or when its leading polynomial
+    vanishes identically (the true order is smaller; refit with it).
     """
     if order < 1 or degree < 0:
         raise ValueError("order must be >= 1 and degree >= 0")

@@ -17,7 +17,7 @@ from padicapery.curves import (
     check_elliptic_identity,
     check_log_derivative,
 )
-from padicapery.diophantine import slope_empirical, theta_closed
+from padicapery.diophantine import theta_closed
 from padicapery.eisenstein import chi4, series_e_prime, series_evil, series_f
 from padicapery.exactnum import vp
 from padicapery.expansion import sequences
@@ -108,15 +108,25 @@ def test_acceptance_4_recurrence(tables):
 
 
 def test_acceptance_5_cauchy_slopes(tables):
-    slope2 = slope_empirical(tables[("zeta-p2", 1)], 2, (5, 24))
-    slope3 = slope_empirical(tables[("zeta-p3", 1)], 3, (5, 24))
-    slopec = slope_empirical(tables[("catalan-p2", 1)], 2, (5, 24))
+    """The cross differences W_n = a_n b_(n+1) - a_(n+1) b_n obey the
+    Casoratian P_0(n) W_n = P_2(n) W_(n-1) on rows 2..24, and their two-point
+    valuation slope on (5, 24) lies in each window."""
+    slopes = []
+    for family in ("zeta-p2", "zeta-p3", "catalan-p2"):
+        curve = catalog(family).family
+        p, spec = curve.p, curve.recurrence[1]
+        rows = tables[(family, 1)].rows
+        cross = [rows[n].a * rows[n + 1].b - rows[n + 1].a * rows[n].b for n in range(25)]
+        for n in range(2, 25):
+            assert spec.poly_value(0, n) * cross[n] == spec.poly_value(2, n) * cross[n - 1]
+        slopes.append((vp(cross[24], p) - vp(cross[5], p)) / 19)
+    slope2, slope3, slopec = slopes
     assert 11 <= slope2 <= 13, slope2
     assert 5.4 <= slope3 <= 6.6, slope3
     assert 7 <= slopec <= 9, slopec
     print(
-        "ACCEPTANCE 5: PASS (Cauchy slopes "
-        f"{slope2:.2f}, {slope3:.2f}, {slopec:.2f} in windows)"
+        "ACCEPTANCE 5: PASS (Casoratian on rows 2..24; Cauchy slopes "
+        f"{slope2:.3f}, {slope3:.3f}, {slopec:.3f} in windows)"
     )
 
 

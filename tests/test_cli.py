@@ -294,6 +294,23 @@ def test_certify_deep_bytes_match_reference(family, capsys):
     assert (hashlib.sha256(out.encode()).hexdigest(), err) == CERTIFY_DEEP[family]
 
 
+# sha256 of `certify --case zeta-p3` stdout at the default window.
+CERTIFY_ZETA_P3 = "e4d5a204bab27018439c1f067d951119f95a44ead917788e972826a1cd389c26"
+
+
+@pytest.mark.parametrize(
+    "op,digest",
+    [(f"certify --case zeta-p3 -n {count}", CERTIFY_ZETA_P3) for count in (1, 11, 12, 40, 256)]
+    + [("certify --case zeta-p2 -n 1 --window 3 39 --bits 200", CERTIFY_DEEP["zeta-p2"][0])],
+)
+def test_certify_row_count_changes_nothing(op, digest, capsys):
+    """certify builds at least the rows its window needs, and the criterion
+    reads only the window's rows, so -n changes no byte of the output."""
+    code, out, err = run_cli(capsys, *op.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # What the Newton-interpolation oracle certified on the benchmark's certify
 # ops: (verdict, certified_rows, valuation gaps of the certified rows n = 3,
 # 4, ...).  A deeper oracle may certify more rows, but none of these may lose

@@ -1,5 +1,7 @@
-"""Closed-form exponents, empirical slopes, and the witness criterion."""
+"""Closed-form exponents, the exact growth of the cross differences, and the
+witness criterion."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -10,11 +12,10 @@ from padicapery.diophantine import (
     THETA_REQUIRED,
     Certificate,
     criterion_check,
-    slope_empirical,
     theta_closed,
 )
 from padicapery.exactnum import vp
-from padicapery.expansion import SequenceRow, SequenceTable, sequences
+from padicapery.expansion import SequenceRow, SequenceTable, reexpanded_columns, sequences
 from padicapery.oracle import PadicValue, catalan_2adic_oracle, zeta_p_oracle
 
 PUBLISHED_THETAS = {
@@ -74,29 +75,44 @@ def test_theta_closed_bytes(family, k, theta):
     assert format(theta_closed(catalog(family, k)), ".10f") == theta
 
 
-def test_slope_windows():
-    table2 = sequences(catalog("zeta-p2"), 26)
-    assert 11 <= slope_empirical(table2, 2, (5, 24)) <= 13
-    table3 = sequences(catalog("zeta-p3"), 26)
-    assert 5.4 <= slope_empirical(table3, 3, (5, 24)) <= 6.6
-    tablec = sequences(catalog("catalan-p2"), 26)
-    assert 7 <= slope_empirical(tablec, 2, (5, 24)) <= 9
+@functools.cache
+def _cross_differences(family, k):
+    """W_n = a_n b_(n+1) - a_(n+1) b_n for n = 0..62, from 64 rows of
+    re-expansion alone, so no row is the relation's own output."""
+    b, a = reexpanded_columns(catalog(family, k), 64)
+    return [a[n] * b[n + 1] - a[n + 1] * b[n] for n in range(63)]
 
 
-@pytest.mark.parametrize("family", ["zeta-p2", "zeta-p3", "zeta-p5", "catalan-p2"])
-def test_slope_matches_valuation_exponent(family):
-    """The cross-differences gain v p-adic digits per row, not v/2: at n = 26
-    the default window reads 11.919, 6.034, 3.086 and 7.946."""
-    config = catalog(family)
-    table = sequences(config, 26)
-    slope = slope_empirical(table, config.family.p)
-    assert abs(slope - config.family.v) < 0.25
+@pytest.mark.parametrize(
+    "family,k", [("zeta-p2", 1), ("zeta-p2", 2), ("zeta-p3", 1), ("catalan-p2", 1)]
+)
+def test_cross_differences_follow_the_casoratian(family, k):
+    """An order-2 relation gives P_0(n) W_n = P_2(n) W_(n-1) (Zagier, CRM
+    Proc. 47, 2009), so W gains exactly vp(P_2(n) / P_0(n)) digits at row n,
+    and the leading coefficients' ratio has valuation v."""
+    config = catalog(family, k)
+    p = config.family.p
+    spec = config.family.recurrence[k]
+    cross = _cross_differences(family, k)
+    assert all(cross)
+    for n in range(2, len(cross)):
+        first, last = spec.poly_value(0, n), spec.poly_value(2, n)
+        assert first * cross[n] == last * cross[n - 1], n
+        assert vp(cross[n], p) - vp(cross[n - 1], p) == vp(last, p) - vp(first, p), n
+    leads = [poly[spec.degree] for poly in spec.coeff_polys]
+    assert vp(Fraction(leads[2], leads[0]), p) == config.family.v
 
 
-def test_slope_requires_enough_points():
-    table = sequences(catalog("zeta-p2"), 5)
-    with pytest.raises(ValueError):
-        slope_empirical(table, 2, (1, 2))
+@pytest.mark.parametrize("window", [(5, 24), (2, 62)], ids=["5-24", "2-62"])
+def test_zeta_p5_cross_differences_grow_by_v(window):
+    """zeta-p5's relation has order 4, where the 2 x 2 cross difference has no
+    closed recursion: its two-point slope is within 0.25 of v = 3 (3.053 on
+    (5, 24), 2.900 on (2, 62))."""
+    lo, hi = window
+    cross = _cross_differences("zeta-p5", 1)
+    assert all(cross)
+    slope = (vp(cross[hi], 5) - vp(cross[lo], 5)) / (hi - lo)
+    assert abs(slope - catalog("zeta-p5").family.v) < 0.25
 
 
 def reference_resolve_sign(table, eta, window):

@@ -198,12 +198,15 @@ def test_fit_equals_elimination_over_every_row(family, k):
 
 @pytest.mark.parametrize("family,k", BUILTIN_CASES)
 def test_fit_from_the_least_length(family, k):
-    """width + order + 1 values, one equation per unknown, give each relation;
-    one value fewer is refused, and the error names the count."""
+    """width + order + 1 values, one equation per unknown, give each relation,
+    whatever b_0 is: the first equation, at n = order, reaches back to b_1.
+    One value fewer is refused, and the error names the count."""
     spec = FAMILY_TABLE[family].recurrence[k]
     least = (spec.order + 1) * (spec.degree + 1) + spec.order + 1
     b_list = _b_column(family, k)
     assert fit_recurrence(b_list[:least], spec.order, spec.degree) == spec
+    moved = [b_list[0] + 12345, *b_list[1:least]]
+    assert fit_recurrence(moved, spec.order, spec.degree) == spec
     with pytest.raises(ValueError, match=rf"not enough sequence values .*\(need {least}\)"):
         fit_recurrence(b_list[: least - 1], spec.order, spec.degree)
 
