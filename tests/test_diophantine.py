@@ -75,6 +75,17 @@ def test_theta_closed_bytes(family, k, theta):
     assert format(theta_closed(catalog(family, k)), ".10f") == theta
 
 
+def test_slope_windows():
+    """On 26-row tables the cross differences' two-point valuation slope over
+    rows (5, 24) lies in each family's window around v."""
+    for family, lo, hi in (("zeta-p2", 11, 13), ("zeta-p3", 5.4, 6.6), ("catalan-p2", 7, 9)):
+        p = catalog(family).family.p
+        rows = sequences(catalog(family), 26).rows
+        cross = [rows[n].a * rows[n + 1].b - rows[n + 1].a * rows[n].b for n in range(25)]
+        slope = (vp(cross[24], p) - vp(cross[5], p)) / 19
+        assert lo <= slope <= hi, (family, slope)
+
+
 @functools.cache
 def _cross_differences(family, k):
     """W_n = a_n b_(n+1) - a_(n+1) b_n for n = 0..62, from 64 rows of
