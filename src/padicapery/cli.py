@@ -55,11 +55,12 @@ _FORMS = {
 # process on a 2-vCPU Xeon (3.5-4 s at k = 13 and k = 16): the two p = 5 series
 # at 2048 digits (at F = 25 and F = 125) take about 2.3 s, the table 1.1 s and
 # the Newton check at n = 10 (M = 100, nodes to weight 1580) 0.35 s.  Terms
-# cost less: at 256 of them, `certify --case zeta-p2 -k 16 --bits 2048` and
-# `sequences --case zeta-p2 -k 16` take about 1.8 s, both by re-expansion
-# (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2 -k 2` about
-# 1 s, mostly re-expansion: fraction-free integer elimination on the first 36
-# of its 253 equations in 33 unknowns, then a check of the rest (70 ms).
+# cost less: at 256 of them, `certify --case zeta-p2 -k 16 --window 3 255
+# --bits 2048` and `sequences --case zeta-p2 -k 16` take about 1.8 s, both by
+# re-expansion (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2
+# -k 2` about 1 s, mostly re-expansion: fraction-free integer elimination on
+# the first 36 of its 253 equations in 33 unknowns, then a check of the rest
+# (70 ms).
 # `series --form e-prime --p 65521 --weight 32 --prec 256` takes 0.1 s, as at
 # p = 2; checking p by trial division takes 15 us there, over 20 s at 10**18.
 _MAX_BITS = 2048
@@ -137,11 +138,11 @@ _TABLE_HEADER = ("n", "a_num", "a_den", "b", "p_n", "q_n")
 def _table_rows(table):
     """One tuple per row in _TABLE_HEADER order; p_n and q_n are None where
     b_n = 0."""
-    ratios = (None if row.degenerate else table.ratio(row.n) for row in table.rows)
+    ratios = (None if b == 0 else table.ratio(n) for n, b in enumerate(table.b))
     return [
-        (row.n, str(row.a.numerator), str(row.a.denominator), str(row.b))
+        (n, str(a.numerator), str(a.denominator), str(b))
         + ((None, None) if ratio is None else (str(ratio.numerator), str(ratio.denominator)))
-        for row, ratio in zip(table.rows, ratios)
+        for n, (a, b, ratio) in enumerate(zip(table.a, table.b, ratios))
     ]
 
 
@@ -179,17 +180,17 @@ def _cmd_certify(parser, args) -> int:
     window = tuple(args.window)
     if window[0] < 0 or window[1] < window[0]:
         parser.error("--window needs 0 <= LO <= HI")
+    # -n is checked but not read: the report needs rows 0..HI only.
     _check_size(parser, "-n", args.count, _MAX_TERMS)
     _check_size(parser, "--window rows", window[1] + 1, _MAX_TERMS)
-    count = max(args.count, window[1] + 1)
     _check_size(parser, "--bits", args.bits, _MAX_BITS)
     config = _resolve_case(parser, args.case, args.k)
     # theta needs the growth exponent of the family's k = 1 relation; a
     # relation that fixes none fails here, before the table and the oracle.
     config.family.e
-    table = sequences(config, count)
+    table = sequences(config, window[1] + 1)
     eta = _evaluate_oracle(config.family, config.k, args.bits)
-    report = criterion_check(config, table, eta, window=window)
+    report = criterion_check(table, eta, window=window)
     import json
 
     shared = {
@@ -263,10 +264,10 @@ def _cmd_recurrence(parser, args) -> int:
     if spec is None:
         parser.error(f"{config.case_id} has no built-in recurrence")
     # The reference path: a relation is never checked against its own output.
-    b_list, a_list = reexpanded_columns(config, args.count)
+    table = reexpanded_columns(config, args.count)
     if args.action == "verify":
         reported = spec
-        checked = recurrence.column_violations(spec, b_list, a_list)
+        checked = recurrence.column_violations(spec, table.b, table.a)
         payload = {}
         for column, (start, violations) in checked.items():
             payload[f"range_{column}"] = [start, args.count - 2]
@@ -274,7 +275,7 @@ def _cmd_recurrence(parser, args) -> int:
         code = 1 if any(violations for _, violations in checked.values()) else 0
     else:
         try:
-            reported = recurrence.fit_recurrence(b_list, spec.order, spec.degree)
+            reported = recurrence.fit_recurrence(table.b, spec.order, spec.degree)
         except ValueError as exc:
             parser.error(f"-n {args.count}: {exc}")
         payload = {"matches_builtin": reported == spec, "source": "b"}

@@ -71,33 +71,33 @@ class CertificationReport(NamedTuple):
 
 
 def criterion_check(
-    config: CaseConfig,
     table: SequenceTable,
     eta: PadicValue,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> CertificationReport:
-    """Run the finite-range criterion over a window of rows.
+    """Run the finite-range criterion over a window of the table's rows.
 
-    The sign of the limit is fixed by the construction: H = sum (A_n +
-    eta B_n) f^n and the table's b-list is sign_b * B, so the rows
-    approximate eta by -sign_b * p_n/q_n.  A table built for another case,
-    an oracle value at another prime, or a window other than
-    0 <= LO <= HI < len(table.rows) raises ValueError.
+    The case is the table's.  The sign of the limit is fixed by the
+    construction: H = sum (A_n + eta B_n) f^n and the table's b-list is
+    sign_b * B, so the rows approximate eta by -sign_b * p_n/q_n.  An oracle
+    value at another prime or of another limit, or a window other than
+    0 <= LO <= HI < len(table.b), raises ValueError.
     """
+    config = table.config
     asymptotic = theta_closed(config)
     p = config.family.p
     if eta.p != p:
         raise ValueError("oracle prime does not match the case")
-    if table.case_id != config.case_id:
-        raise ValueError(f"table of {table.case_id} given for {config.case_id}")
-    last = len(table.rows) - 1
+    if eta.limit is not None and eta.limit != (config.family.oracle, config.k):
+        raise ValueError(f"oracle value of {eta.limit} given for {config.case_id}")
+    last = len(table.b) - 1
     if not 0 <= window[0] <= window[1] <= last:
         raise ValueError(f"window {window} is not inside the table's rows 0..{last}")
     sign = -config.family.sign_b
     exponent = eta.agreement_exponent
     certificates = []
     for n in range(window[0], window[1] + 1):
-        if table.rows[n].degenerate:
+        if table.b[n] == 0:
             continue
         ratio = table.ratio(n)
         log_max = log_size(max(abs(ratio.numerator), ratio.denominator))
@@ -133,7 +133,7 @@ def criterion_check(
     else:
         verdict = "WITNESS_FAIL"
     return CertificationReport(
-        case_id=table.case_id,
+        case_id=config.case_id,
         theta_closed=asymptotic,
         sign=sign,
         verdict=verdict,

@@ -4,8 +4,9 @@ the uniformizer, and the approximant sequence tables it produces.
 Writing H = sum (A_n + eta B_n) f^n, the B-list is the re-expansion of the
 normalized weight series alone and the A-list that of its product with the
 antiderivative; the published tables are these lists up to the per-family
-sign of the b-list.  A row holds n, a_n and an integer b_n; the quantity
-approximated is ``SequenceTable.ratio``, the reduced p_n / q_n = 2 a_n / b_n.
+sign of the b-list.  A table is its case and these two columns, a_n as
+Fractions and b_n as integers; the quantity approximated is
+``SequenceTable.ratio``, the reduced p_n / q_n = 2 a_n / b_n.
 
 Re-expansion costs about O(n^3).  For a case with a recurrence, ``sequences``
 re-expands a short prefix only, checks the relation on both columns of it and
@@ -27,7 +28,6 @@ from .recurrence import RecurrenceSpec, column_violations, extend_integers, fit_
 __all__ = [
     "reexpand",
     "reexpanded_columns",
-    "SequenceRow",
     "SequenceTable",
     "sequences",
 ]
@@ -77,30 +77,14 @@ def reexpand(
     return out
 
 
-class SequenceRow(NamedTuple):
-    n: int
-    a: Fraction
-    b: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.b == 0
-
-
 class SequenceTable(NamedTuple):
-    case_id: str
-    rows: tuple[SequenceRow, ...]
-
-    def a_list(self) -> list[Fraction]:
-        return [r.a for r in self.rows]
-
-    def b_list(self) -> list[int]:
-        return [r.b for r in self.rows]
+    config: curves.CaseConfig
+    a: tuple[Fraction, ...]
+    b: tuple[int, ...]
 
     def ratio(self, n: int) -> Fraction:
         """p_n / q_n = 2 a_n / b_n, reduced; ZeroDivisionError where b_n = 0."""
-        row = self.rows[n]
-        return 2 * row.a / row.b
+        return 2 * self.a[n] / self.b[n]
 
 
 def _scales(D: int, count: int) -> list[int]:
@@ -113,13 +97,11 @@ def _scales(D: int, count: int) -> list[int]:
     return scales
 
 
-def reexpanded_columns(
-    config: curves.CaseConfig, count: int
-) -> tuple[list[int], list[Fraction]]:
-    """The b- and a-columns of the first `count` rows by re-expansion alone,
-    after the catalog's identity canaries: the reference path that every
-    recurrence is checked against.  A row with b_n or lcm(1..n)^D * a_n not
-    an integer raises curves.IdentityError."""
+def reexpanded_columns(config: curves.CaseConfig, count: int) -> SequenceTable:
+    """The first `count` rows by re-expansion alone, after the catalog's
+    identity canaries: the reference path that every recurrence is checked
+    against.  A row with b_n or lcm(1..n)^D * a_n not an integer raises
+    curves.IdentityError."""
     curves.run_canaries(config)
     # [f^m]H needs q^0..q^m only; f's q^1 term is read to check f = q + O(q^2).
     prec = max(count, 2)
@@ -134,33 +116,27 @@ def reexpanded_columns(
     for (b, a), scale in zip(rows, _scales(config.D, count)):
         if b.denominator != 1 or scale % a.denominator:
             raise curves.IdentityError(f"a re-expanded row of {config.case_id} is not integral")
-    return [family.sign_b * b.numerator for b, _ in rows], [a for _, a in rows]
+    b, a = zip(*rows)
+    return SequenceTable(config, a, tuple(family.sign_b * x.numerator for x in b))
 
 
-def _extend(
-    config: curves.CaseConfig,
-    spec: RecurrenceSpec,
-    b_list: list[int],
-    a_list: list[Fraction],
-    count: int,
-) -> tuple[list[int], list[Fraction]]:
+def _extend(spec: RecurrenceSpec, table: SequenceTable, count: int) -> SequenceTable:
     """Check the case's relation on both re-expanded columns and run it out
     to `count` rows in integers: b_n, and lcm(1..n)^D * a_n."""
-    for _, violations in column_violations(spec, b_list, a_list).values():
+    case_id = table.config.case_id
+    for _, violations in column_violations(spec, table.b, table.a).values():
         if violations:
             raise curves.IdentityError(
-                f"recurrence fails for {config.case_id}: "
+                f"recurrence fails for {case_id}: "
                 f"nonzero residual at n = {violations[0][0]}"
             )
-    scales = _scales(config.D, count)
+    scales = _scales(table.config.D, count)
     try:
-        b_list = extend_integers(spec, b_list, count)
-        nums = extend_integers(spec, [int(a * s) for a, s in zip(a_list, scales)], count, scales)
+        b = extend_integers(spec, table.b, count)
+        nums = extend_integers(spec, [int(a * s) for a, s in zip(table.a, scales)], count, scales)
     except ArithmeticError as exc:
-        raise curves.IdentityError(f"recurrence fails for {config.case_id}: {exc}") from None
-    top = len(a_list)
-    a_list = a_list + [Fraction(x, s) for x, s in zip(nums[top:], scales[top:])]
-    return b_list, a_list
+        raise curves.IdentityError(f"recurrence fails for {case_id}: {exc}") from None
+    return table._replace(a=tuple(map(Fraction, nums, scales)), b=tuple(b))
 
 
 def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
@@ -178,8 +154,5 @@ def sequences(config: curves.CaseConfig, count: int) -> SequenceTable:
         raise ValueError("count must be >= 1")
     spec = config.family.recurrence.get(config.k)
     prefix = count if spec is None else min(count, fit_length(spec.order, spec.degree))
-    b_list, a_list = reexpanded_columns(config, prefix)
-    if prefix < count:
-        b_list, a_list = _extend(config, spec, b_list, a_list, count)
-    rows = tuple(SequenceRow(n, a, b) for n, (b, a) in enumerate(zip(b_list, a_list)))
-    return SequenceTable(case_id=config.case_id, rows=rows)
+    table = reexpanded_columns(config, prefix)
+    return table if prefix == count else _extend(spec, table, count)

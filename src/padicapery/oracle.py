@@ -74,12 +74,14 @@ class PadicValue(NamedTuple):
     """A rational representative of a p-adic number with a trust radius.
 
     ``representative`` agrees with the underlying p-adic number at least
-    up to (but excluding) ``p ** agreement_exponent``.
+    up to (but excluding) ``p ** agreement_exponent``.  ``limit`` names that
+    number as (oracle target, n), such as ("zeta-p2", 1), where it is known.
     """
 
     representative: Fraction
     agreement_exponent: int
     p: int
+    limit: tuple[str, int] | None = None
 
     def digits(self, count: int = 10) -> list[tuple[int, int]]:
         """Leading canonical digits of the representative that lie below
@@ -208,6 +210,7 @@ def _series_limit(
 
 
 def _oracle(
+    target: str,
     twist: Callable[[int], int],
     s_minus_1: int,
     g: Callable[[int], Fraction],
@@ -215,9 +218,10 @@ def _oracle(
     n: int,
     target_bits: int,
 ) -> PadicValue:
-    """The series value at target_bits + _SLACK digits, once the series at
-    the next m has agreed with it, and so has the Newton limit of g, which
-    reaches min(target_bits, _NEWTON_BITS) digits or raises."""
+    """The series value at target_bits + _SLACK digits, with limit (target,
+    n), once the series at the next m has agreed with it, and so has the
+    Newton limit of g, which reaches min(target_bits, _NEWTON_BITS) digits or
+    raises."""
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
     # The least m with F = p**m >= 8, which makes 4 | F at p = 2.
@@ -227,7 +231,7 @@ def _oracle(
     _require_agreement(value, _series_limit(twist, p, s_minus_1, m + 1, exponent))
     depth = min(target_bits, _NEWTON_BITS)
     _require_agreement(value, _interpolated_limit(g, p, _node_spacing(p, n), n, depth))
-    return value
+    return value._replace(limit=(target, n))
 
 
 def zeta_p_oracle(p: int, n: int = 1, target_bits: int = 40) -> PadicValue:
@@ -242,7 +246,8 @@ def zeta_p_oracle(p: int, n: int = 1, target_bits: int = 40) -> PadicValue:
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _oracle(
-        lambda a: 1, 2 * n, lambda m: -m * zeta_star(p, m) / (2 * n), p, n, target_bits
+        f"zeta-p{p}", lambda a: 1, 2 * n, lambda m: -m * zeta_star(p, m) / (2 * n), p, n,
+        target_bits,
     )
 
 
@@ -250,4 +255,4 @@ def catalan_2adic_oracle(target_bits: int = 40) -> PadicValue:
     """The 2-adic Catalan constant L_2(2), the limit of E_{2k}/2 as 2k -> -2,
     as a rational representative with a proven agreement exponent of
     ``target_bits + _SLACK``."""
-    return _oracle(chi4, 1, l_chi4_neg, 2, 1, target_bits)
+    return _oracle("catalan", chi4, 1, l_chi4_neg, 2, 1, target_bits)

@@ -52,10 +52,10 @@ def oracles():
 
 def test_acceptance_1_zeta2_sequence_reproduction(tables):
     table = tables[("zeta-p2", 1)]
-    assert table.b_list()[:7] == [
+    assert list(table.b[:7]) == [
         1, 24, -552, 19392, -810024, 37210944, -1815620160,
     ]
-    assert table.a_list()[:6] == [
+    assert list(table.a[:6]) == [
         Fraction(0),
         Fraction(1),
         Fraction(1),
@@ -68,7 +68,7 @@ def test_acceptance_1_zeta2_sequence_reproduction(tables):
 
 def test_acceptance_2_catalan_sequence_reproduction(tables):
     table = tables[("catalan-p2", 1)]
-    assert table.a_list()[:7] == [
+    assert list(table.a[:7]) == [
         Fraction(0),
         Fraction(1),
         Fraction(-3),
@@ -77,7 +77,7 @@ def test_acceptance_2_catalan_sequence_reproduction(tables):
         Fraction(-99116, 225),
         Fraction(3133076, 225),
     ]
-    assert table.b_list()[:7] == [-1, -4, 28, -272, 3036, -36624, 464368]
+    assert list(table.b[:7]) == [-1, -4, 28, -272, 3036, -36624, 464368]
     assert table.ratio(6) == Fraction(783269, 13060350)
     print("ACCEPTANCE 2: PASS (catalan published a, b and 2a6/b6 reproduced)")
 
@@ -101,9 +101,9 @@ def test_acceptance_3_theta_constants():
 def test_acceptance_4_recurrence(tables):
     table = tables[("catalan-p2", 1)]
     spec = CATALAN_P2
-    assert verify_recurrence(spec, table.b_list(), 2, 24) == []
-    assert verify_recurrence(spec, table.a_list(), 2, 24) == []
-    assert fit_recurrence(table.b_list(), 2, 2) == spec
+    assert verify_recurrence(spec, list(table.b), 2, 24) == []
+    assert verify_recurrence(spec, list(table.a), 2, 24) == []
+    assert fit_recurrence(list(table.b), 2, 2) == spec
     print("ACCEPTANCE 4: PASS (order-2 recurrence verified on [2,24], refit)")
 
 
@@ -115,8 +115,8 @@ def test_acceptance_5_cauchy_slopes(tables):
     for family in ("zeta-p2", "zeta-p3", "catalan-p2"):
         curve = catalog(family).family
         p, spec = curve.p, curve.recurrence[1]
-        rows = tables[(family, 1)].rows
-        cross = [rows[n].a * rows[n + 1].b - rows[n + 1].a * rows[n].b for n in range(25)]
+        a, b = tables[(family, 1)].a, tables[(family, 1)].b
+        cross = [a[n] * b[n + 1] - a[n + 1] * b[n] for n in range(25)]
         for n in range(2, 25):
             assert spec.poly_value(0, n) * cross[n] == spec.poly_value(2, n) * cross[n - 1]
         slopes.append((vp(cross[24], p) - vp(cross[5], p)) / 19)
@@ -193,21 +193,19 @@ def test_acceptance_8_structural_identities(tables):
     ]
     for family, k in ALL_CASES:
         config = catalog(family, k)
-        for row in tables[(family, k)].rows:
-            assert row.b.denominator == 1
-            scale = math.lcm(*range(1, row.n + 1)) ** config.D
-            assert (scale * row.a).denominator == 1
+        table = tables[(family, k)]
+        for n, (a, b) in enumerate(zip(table.a, table.b)):
+            assert b.denominator == 1
+            scale = math.lcm(*range(1, n + 1)) ** config.D
+            assert (scale * a).denominator == 1
     print("ACCEPTANCE 8: PASS (identities at precision 64 and integrality)")
 
 
 def test_acceptance_9_nonvanishing_evidence(tables, oracles):
     for family, k in ALL_CASES:
         table = tables[(family, k)]
-        assert table.rows[2].b != 0 and table.rows[3].b != 0
-        assert (
-            table.a_list()[2] / table.b_list()[2]
-            != table.a_list()[3] / table.b_list()[3]
-        ), (family, k)
+        assert table.b[2] != 0 and table.b[3] != 0
+        assert table.a[2] / table.b[2] != table.a[3] / table.b[3], (family, k)
     for family in ("zeta-p2", "zeta-p3"):
         value = oracles[family]
         assert vp(value.representative, value.p) < value.agreement_exponent

@@ -172,9 +172,8 @@ def test_degenerate_row_prints_null_and_empty_fields(capsys, monkeypatch):
     """A row with b_n = 0 has no ratio: JSON shows null, CSV and plain empty
     fields."""
     table = cli.sequences(catalog("zeta-p2"), 3)
-    degenerate = table.rows[1]._replace(b=0)
-    rows = (table.rows[0], degenerate, table.rows[2])
-    monkeypatch.setattr(cli, "sequences", lambda config, count: table._replace(rows=rows))
+    degenerate = table._replace(b=(table.b[0], 0, table.b[2]))
+    monkeypatch.setattr(cli, "sequences", lambda config, count: degenerate)
     code, out, _ = run_cli(
         capsys, "sequences", "--case", "zeta-p2", "-n", "3", "--format", "json"
     )
@@ -303,12 +302,24 @@ CERTIFY_ZETA_P3 = "e4d5a204bab27018439c1f067d951119f95a44ead917788e972826a1cd389
     [(f"certify --case zeta-p3 -n {count}", CERTIFY_ZETA_P3) for count in (1, 11, 12, 40, 256)]
     + [("certify --case zeta-p2 -n 1 --window 3 39 --bits 200", CERTIFY_DEEP["zeta-p2"][0])],
 )
-def test_certify_row_count_changes_nothing(op, digest, capsys):
-    """certify builds at least the rows its window needs, and the criterion
-    reads only the window's rows, so -n changes no byte of the output."""
-    code, out, err = run_cli(capsys, *op.split())
+def test_certify_row_count_changes_nothing(op, digest, capsys, monkeypatch):
+    """certify builds rows 0..HI of its window whatever -n says, and the
+    criterion reads only the window's rows, so -n changes no byte of the
+    output."""
+    counts = []
+    build = cli.sequences
+
+    def recording(config, count):
+        counts.append(count)
+        return build(config, count)
+
+    monkeypatch.setattr(cli, "sequences", recording)
+    argv = op.split()
+    code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    hi = int(argv[argv.index("--window") + 2]) if "--window" in argv else cli.DEFAULT_WINDOW[1]
+    assert counts == [hi + 1]
 
 
 # What the Newton-interpolation oracle certified on the benchmark's certify

@@ -15,7 +15,7 @@ from padicapery.diophantine import (
     theta_closed,
 )
 from padicapery.exactnum import vp
-from padicapery.expansion import SequenceRow, SequenceTable, reexpanded_columns, sequences
+from padicapery.expansion import SequenceTable, reexpanded_columns, sequences
 from padicapery.oracle import PadicValue, catalan_2adic_oracle, zeta_p_oracle
 
 PUBLISHED_THETAS = {
@@ -80,8 +80,9 @@ def test_slope_windows():
     rows (5, 24) lies in each family's window around v."""
     for family, lo, hi in (("zeta-p2", 11, 13), ("zeta-p3", 5.4, 6.6), ("catalan-p2", 7, 9)):
         p = catalog(family).family.p
-        rows = sequences(catalog(family), 26).rows
-        cross = [rows[n].a * rows[n + 1].b - rows[n + 1].a * rows[n].b for n in range(25)]
+        table = sequences(catalog(family), 26)
+        a, b = table.a, table.b
+        cross = [a[n] * b[n + 1] - a[n + 1] * b[n] for n in range(25)]
         slope = (vp(cross[24], p) - vp(cross[5], p)) / 19
         assert lo <= slope <= hi, (family, slope)
 
@@ -90,7 +91,8 @@ def test_slope_windows():
 def _cross_differences(family, k):
     """W_n = a_n b_(n+1) - a_(n+1) b_n for n = 0..62, from 64 rows of
     re-expansion alone, so no row is the relation's own output."""
-    b, a = reexpanded_columns(catalog(family, k), 64)
+    table = reexpanded_columns(catalog(family, k), 64)
+    a, b = table.a, table.b
     return [a[n] * b[n + 1] - a[n + 1] * b[n] for n in range(63)]
 
 
@@ -131,8 +133,8 @@ def reference_resolve_sign(table, eta, window):
     off the first two usable rows: the search the criterion used before the
     sign was taken from the construction."""
     probes = [
-        n for n in range(window[0], min(window[1] + 1, len(table.rows)))
-        if not table.rows[n].degenerate
+        n for n in range(window[0], min(window[1] + 1, len(table.b)))
+        if table.b[n] != 0
     ][:2]
     assert len(probes) == 2
     scores = {}
@@ -160,14 +162,14 @@ def test_construction_sign_matches_search(family, k):
         eta = zeta_p_oracle(config.family.p, k, 60)
     expected = -config.family.sign_b
     assert reference_resolve_sign(table, eta, (3, 13)) == expected
-    assert criterion_check(config, table, eta, window=(3, 13)).sign == expected
+    assert criterion_check(table, eta, window=(3, 13)).sign == expected
 
 
 def test_criterion_passes_for_zeta_p2():
     config = catalog("zeta-p2")
     table = sequences(config, 12)
     eta = zeta_p_oracle(2, 1, 40)
-    report = criterion_check(config, table, eta)
+    report = criterion_check(table, eta)
     assert report.verdict == "WITNESS_PASS"
     assert report.sign == -1
     assert report.certified_rows >= 2
@@ -183,7 +185,7 @@ def test_criterion_clamps_at_oracle_radius():
     config = catalog("zeta-p2")
     table = sequences(config, 12)
     eta = zeta_p_oracle(2, 1, 20)
-    report = criterion_check(config, table, eta, window=(3, 10))
+    report = criterion_check(table, eta, window=(3, 10))
     deep = [c for c in report.certificates if not c.certified]
     assert deep
     for cert in deep:
@@ -193,11 +195,11 @@ def test_criterion_clamps_at_oracle_radius():
 def test_criterion_skips_a_degenerate_row():
     config = catalog("zeta-p2")
     table = sequences(config, 12)
-    rows = list(table.rows)
-    rows[5] = rows[5]._replace(b=0)
+    b = list(table.b)
+    b[5] = 0
     eta = zeta_p_oracle(2, 1, 40)
-    full = criterion_check(config, table, eta, window=(3, 10))
-    report = criterion_check(config, table._replace(rows=tuple(rows)), eta, window=(3, 10))
+    full = criterion_check(table, eta, window=(3, 10))
+    report = criterion_check(table._replace(b=tuple(b)), eta, window=(3, 10))
     assert [cert.n for cert in report.certificates] == [3, 4, 6, 7, 8, 9, 10]
     assert report.certificates == tuple(c for c in full.certificates if c.n != 5)
 
@@ -208,7 +210,7 @@ def test_criterion_exact_probe_is_uncertified():
     config = catalog("zeta-p2")
     table = sequences(config, 12)
     probe = PadicValue(-table.ratio(8), 25, 2)
-    report = criterion_check(config, table, probe, window=(7, 8))
+    report = criterion_check(table, probe, window=(7, 8))
     assert report.sign == -1
     assert report.verdict == "UNCERTIFIED"
     for cert in report.certificates:
@@ -224,7 +226,7 @@ def test_zeta_p5_rows_certify_at_the_prototype_gaps():
     config = catalog("zeta-p5")
     table = sequences(config, 60)
     eta = zeta_p_oracle(5, 1, 600)
-    report = criterion_check(config, table, eta, window=(3, 59))
+    report = criterion_check(table, eta, window=(3, 59))
     assert report.sign == -1
     assert report.verdict == "WITNESS_FAIL"
     assert report.certified_rows == len(report.certificates) == 57
@@ -236,7 +238,7 @@ def test_criterion_fail_verdict_for_heavier_weight():
     config = catalog("zeta-p2", 2)
     table = sequences(config, 12)
     eta = zeta_p_oracle(2, 2, 40)
-    report = criterion_check(config, table, eta)
+    report = criterion_check(table, eta)
     assert report.verdict == "WITNESS_FAIL"
     assert report.theta_closed < THETA_REQUIRED
 
@@ -245,18 +247,18 @@ def test_criterion_rejects_mismatched_prime():
     config = catalog("zeta-p3")
     table = sequences(config, 8)
     with pytest.raises(ValueError):
-        criterion_check(config, table, zeta_p_oracle(2, 1, 20))
+        criterion_check(table, zeta_p_oracle(2, 1, 20))
 
 
-def test_criterion_rejects_a_table_of_another_case():
-    """A table is only compared with its own case's limit: neither another
-    family's table nor another k's table is certified under the config."""
-    eta = zeta_p_oracle(2, 1, 40)
-    config = catalog("zeta-p2")
-    with pytest.raises(ValueError, match="table of catalan-p2 given for zeta-p2:k=1"):
-        criterion_check(config, sequences(catalog("catalan-p2"), 12), eta)
-    with pytest.raises(ValueError, match="table of zeta-p2:k=1 given for zeta-p2:k=2"):
-        criterion_check(catalog("zeta-p2", 2), sequences(config, 12), eta)
+def test_criterion_rejects_an_oracle_of_another_limit():
+    """An oracle value is compared only with its own limit's table: at p = 2
+    neither the Catalan constant nor zeta_2(3) certifies another case."""
+    zeta2 = sequences(catalog("zeta-p2"), 12)
+    with pytest.raises(ValueError, match=r"\('catalan', 1\) given for zeta-p2:k=1"):
+        criterion_check(zeta2, catalan_2adic_oracle(40))
+    heavier = sequences(catalog("zeta-p2", 2), 12)
+    with pytest.raises(ValueError, match=r"\('zeta-p2', 1\) given for zeta-p2:k=2"):
+        criterion_check(heavier, zeta_p_oracle(2, 1, 40))
 
 
 def test_criterion_rejects_a_window_outside_the_table():
@@ -265,23 +267,21 @@ def test_criterion_rejects_a_window_outside_the_table():
     config = catalog("zeta-p2")
     table = sequences(config, 8)
     eta = zeta_p_oracle(2, 1, 40)
-    report = criterion_check(config, table, eta, window=(3, 7))
+    report = criterion_check(table, eta, window=(3, 7))
     assert [cert.n for cert in report.certificates] == [3, 4, 5, 6, 7]
     for window in ((3, 8), (3, 20), (-2, 4), (5, 3)):
         with pytest.raises(ValueError, match="not inside the table"):
-            criterion_check(config, table, eta, window=window)
+            criterion_check(table, eta, window=window)
 
 
 def test_rows_and_certificates_hold_no_derived_fields():
-    """A case is (family, k), a table is (case_id, rows), a row is (n, a, b)
-    with an integer b, and a certificate leaves the case and the sign to its
-    report."""
+    """A case is (family, k), a table is (config, a, b) with integers in b,
+    and a certificate leaves the case and the sign to its report."""
     assert CaseConfig._fields == ("family", "k")
-    assert SequenceTable._fields == ("case_id", "rows")
-    assert SequenceRow._fields == ("n", "a", "b")
+    assert SequenceTable._fields == ("config", "a", "b")
     for family, k in (("zeta-p2", 1), ("zeta-p2", 3), ("zeta-p3", 1), ("catalan-p2", 1)):
         table = sequences(catalog(family, k), 40)
-        assert all(type(row.b) is int for row in table.rows)
+        assert all(type(b) is int for b in table.b)
     assert not {"case_id", "sign"} & set(Certificate._fields)
 
 
@@ -291,12 +291,12 @@ def test_records_are_immutable_named_records():
     config = catalog("zeta-p2")
     table = sequences(config, 8)
     eta = PadicValue(Fraction(0), 5, 2)
-    report = criterion_check(config, table, eta, window=(3, 7))
+    report = criterion_check(table, eta, window=(3, 7))
     records = (
         (config.family, "p"),
         (config, "k"),
-        (table.rows[0], "b"),
-        (table, "rows"),
+        (table, "a"),
+        (table, "b"),
         (report.certificates[0], "valuation_gap"),
         (report, "verdict"),
         (eta, "agreement_exponent"),
@@ -304,7 +304,7 @@ def test_records_are_immutable_named_records():
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
-    assert len(table.rows) == 8
+    assert len(table.b) == 8
     assert repr(PadicValue(Fraction(1, 2), 3, 2)) == (
-        "PadicValue(representative=Fraction(1, 2), agreement_exponent=3, p=2)"
+        "PadicValue(representative=Fraction(1, 2), agreement_exponent=3, p=2, limit=None)"
     )

@@ -45,12 +45,12 @@ def test_spec_validation():
 
 
 def test_b_sequence_satisfies_recurrence(catalan_table):
-    violations = verify_recurrence(CATALAN_P2, catalan_table.b_list(), 1, 24)
+    violations = verify_recurrence(CATALAN_P2, list(catalan_table.b), 1, 24)
     assert violations == []
 
 
 def test_a_sequence_satisfies_recurrence_from_two(catalan_table):
-    violations = verify_recurrence(CATALAN_P2, catalan_table.a_list(), 2, 24)
+    violations = verify_recurrence(CATALAN_P2, list(catalan_table.a), 2, 24)
     assert violations == []
 
 
@@ -58,16 +58,16 @@ def test_a_sequence_breaks_at_one(catalan_table):
     """The a-seed fails the single relation involving n = 1 while the b-seed
     satisfies it, exactly as the seed conditions predict."""
     spec = CATALAN_P2
-    assert verify_recurrence(spec, catalan_table.b_list(), 1, 1) == []
-    assert verify_recurrence(spec, catalan_table.a_list(), 1, 1) == [(1, 16)]
+    assert verify_recurrence(spec, list(catalan_table.b), 1, 1) == []
+    assert verify_recurrence(spec, list(catalan_table.a), 1, 1) == [(1, 16)]
 
 
 def test_extend_integers_reproduces_tables(catalan_table):
     spec = CATALAN_P2
-    b = [int(value) for value in catalan_table.b_list()]
+    b = [int(value) for value in list(catalan_table.b)]
     assert extend_integers(spec, b[:3], 26) == b
     scales = [math.lcm(*range(1, n + 1)) ** 2 for n in range(26)]
-    cleared = [int(a * s) for a, s in zip(catalan_table.a_list(), scales)]
+    cleared = [int(a * s) for a, s in zip(list(catalan_table.a), scales)]
     assert extend_integers(spec, cleared[:4], 26, scales) == cleared
 
 
@@ -86,8 +86,8 @@ def test_prefix_residual_names_its_row(capsys, monkeypatch):
     assert verify_recurrence(spec, bump, 1, 10) == [(4, spec.poly_value(0, 4) * d)]
 
     def bumped(config, count):
-        b_list, a_list = reexpanded_columns(config, count)
-        return [b + db for b, db in zip(b_list, bump)], a_list
+        table = reexpanded_columns(config, count)
+        return table._replace(b=tuple(b + db for b, db in zip(table.b, bump)))
 
     monkeypatch.setattr(expansion, "reexpanded_columns", bumped)
     code = main(["sequences", "--case", "catalan-p2", "-n", "26"])
@@ -123,7 +123,7 @@ def test_leading_polynomial_is_nonzero_below_the_cap(family, k):
 
 
 def test_fit_recovers_catalan_recurrence(catalan_table):
-    fitted = fit_recurrence(catalan_table.b_list(), 2, 2)
+    fitted = fit_recurrence(list(catalan_table.b), 2, 2)
     assert fitted == CATALAN_P2
 
 
@@ -185,7 +185,7 @@ def _fit_over_every_row(seq, order, degree):
 
 @functools.cache
 def _b_column(family, k):
-    return reexpanded_columns(catalog(family, k), 64)[0]
+    return reexpanded_columns(catalog(family, k), 64).b
 
 
 @pytest.mark.parametrize("family,k", BUILTIN_CASES)
@@ -270,12 +270,12 @@ def _shift_polys(spec: RecurrenceSpec, offset: int) -> RecurrenceSpec:
 
 def test_fit_from_a_column_recovers_same_relation(catalan_table):
     """Dropping the two seed entries reindexes the relation by n -> n + 2."""
-    fitted = fit_recurrence(catalan_table.a_list()[2:], 2, 2)
+    fitted = fit_recurrence(list(catalan_table.a)[2:], 2, 2)
     assert fitted == _shift_polys(CATALAN_P2, 2)
 
 
 def test_fit_is_scale_invariant(catalan_table):
-    b = catalan_table.b_list()
+    b = list(catalan_table.b)
     scaled = [Fraction(value, 7) for value in b]
     assert fit_recurrence(scaled, 2, 2) == CATALAN_P2
 
