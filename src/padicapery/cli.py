@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--p", type=int)
     p_series.add_argument("--prec", type=int, default=8)
     p_series.add_argument("-o", "--output")
-    p_series.set_defaults(func=_cmd_series)
+    p_series.set_defaults(func=_cmd_series, parser=p_series)
 
     p_seq = sub.add_parser("sequences", help="compute an approximant table")
     p_seq.add_argument("--case", choices=curves.FAMILIES, required=True)
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("-n", "--count", type=int, default=8)
     p_seq.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
     p_seq.add_argument("-o", "--output")
-    p_seq.set_defaults(func=_cmd_sequences)
+    p_seq.set_defaults(func=_cmd_sequences, parser=p_seq)
 
     p_cert = sub.add_parser("certify", help="run the irrationality criterion")
     p_cert.add_argument("--case", choices=curves.FAMILIES, required=True)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, nargs=2, default=list(DEFAULT_WINDOW), metavar=("LO", "HI")
     )
     p_cert.add_argument("-o", "--output")
-    p_cert.set_defaults(func=_cmd_certify)
+    p_cert.set_defaults(func=_cmd_certify, parser=p_cert)
 
     p_oracle = sub.add_parser("oracle", help="evaluate a p-adic limit")
     p_oracle.add_argument("--target", choices=tuple(_ORACLE_FAMILIES), required=True)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--bits", type=int, default=40)
     p_oracle.add_argument("--digits", type=int, default=10)
     p_oracle.add_argument("-o", "--output")
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.set_defaults(func=_cmd_oracle, parser=p_oracle)
 
     p_rec = sub.add_parser("recurrence", help="verify or refit the recurrence")
     p_rec.add_argument("action", choices=("verify", "fit"))
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("-k", type=int, default=1)
     p_rec.add_argument("-n", "--count", type=int, default=26)
     p_rec.add_argument("-o", "--output")
-    p_rec.set_defaults(func=_cmd_recurrence)
+    p_rec.set_defaults(func=_cmd_recurrence, parser=p_rec)
     return parser
 
 
@@ -352,10 +352,10 @@ def main(argv=None) -> int:
     # would end a finished computation in a traceback when printed.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(parser, args)
+        args = build_parser().parse_args(argv)
+        # Handlers report usage errors through their own subcommand's parser.
+        return args.func(args.parser, args)
     except curves.IdentityError as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)
         return 1

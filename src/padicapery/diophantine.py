@@ -6,9 +6,9 @@ If a p-adic number eta admits rational approximations p_n/q_n with
 
 for some theta > 1 and infinitely many n, then eta is irrational, and
 theta is an irrationality exponent witness.  Each table comes with a
-closed-form asymptotic exponent ``theta_closed``; this module checks the
-inequality row by row against an oracle value for eta, over a finite
-window, at an explicit tolerance.
+closed-form exponent ``theta_closed``, which must reach THETA_REQUIRED;
+this module checks the inequality at theta = THETA_REQUIRED, with no
+allowance, row by row against an oracle value for eta over a finite window.
 
 A row can only be *certified* when the observed agreement is strictly
 inside the oracle's own trust radius: if the valuation of the difference
@@ -28,7 +28,6 @@ from .oracle import PadicValue
 
 THETA_REQUIRED = 1.01
 DEFAULT_WINDOW = (3, 10)
-_GUARD = 1e-6
 
 
 def theta_closed(config: CaseConfig) -> float:
@@ -110,7 +109,7 @@ def criterion_check(
             implied = math.inf if clamped > 0 else 0.0
         passed = None
         if certified:
-            passed = clamped * math.log(p) >= (THETA_REQUIRED - _GUARD) * log_max
+            passed = clamped * math.log(p) >= THETA_REQUIRED * log_max
         certificates.append(
             Certificate(
                 n=n,
@@ -124,7 +123,7 @@ def criterion_check(
                 passed=passed,
             )
         )
-    if asymptotic < THETA_REQUIRED - _GUARD:
+    if asymptotic < THETA_REQUIRED:
         verdict = "WITNESS_FAIL"
     elif not any(cert.certified for cert in certificates):
         verdict = "UNCERTIFIED"

@@ -613,6 +613,28 @@ def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
     assert err == "identity check failed: elliptic identity fails for zeta-p2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "series --prec 0",
+        "sequences --case zeta-p2 -k 17",
+        "certify --case zeta-p2 --window 5 3",
+        "oracle --target catalan -n 2",
+        "recurrence fit -n 5",
+    ],
+)
+def test_usage_errors_name_their_subcommand(argv, capsys):
+    """A handler's usage error prints its subcommand's usage line and name,
+    as argparse does for that subcommand's own errors."""
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"usage: padicapery {command} [-h]")
+    assert f"\npadicapery {command}: error: " in stderr
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -234,6 +234,26 @@ def test_zeta_p5_rows_certify_at_the_prototype_gaps():
     assert [gaps[n] for n in (5, 10, 20, 40, 59)] == [10, 24, 52, 110, 167]
 
 
+@pytest.mark.parametrize("offset, passes", [(-1e-7, False), (1e-7, True)], ids=["below", "above"])
+def test_a_row_passes_exactly_at_the_required_exponent(offset, passes):
+    """A certified row passes iff gap * log p >= THETA_REQUIRED * log H, with
+    no allowance: one at implied exponent 1.01 - 1e-7 fails, one at
+    1.01 + 1e-7 passes.  The row is 1/H against eta = 1/H + 2^gap."""
+    gap = 100
+    target = THETA_REQUIRED + offset
+    height = round(2 ** (gap / target))
+    config = catalog("zeta-p2")
+    sign = -config.family.sign_b
+    table = SequenceTable(config, (Fraction(sign, 2),), (height,))
+    eta = PadicValue(Fraction(1, height) + 2**gap, gap + 1, 2)
+    report = criterion_check(table, eta, window=(0, 0))
+    (cert,) = report.certificates
+    assert cert.certified and cert.valuation_gap == gap
+    assert math.isclose(cert.implied_exponent, target, rel_tol=1e-9)
+    assert cert.passed is passes
+    assert report.verdict == ("WITNESS_PASS" if passes else "WITNESS_FAIL")
+
+
 def test_criterion_fail_verdict_for_heavier_weight():
     config = catalog("zeta-p2", 2)
     table = sequences(config, 12)
