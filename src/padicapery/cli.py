@@ -185,9 +185,6 @@ def _cmd_certify(parser, args) -> int:
     _check_size(parser, "--window rows", window[1] + 1, _MAX_TERMS)
     _check_size(parser, "--bits", args.bits, _MAX_BITS)
     config = _resolve_case(parser, args.case, args.k)
-    # theta needs the growth exponent of the family's k = 1 relation; a
-    # relation that fixes none fails here, before the table and the oracle.
-    config.family.e
     table = sequences(config, window[1] + 1)
     eta = _evaluate_oracle(config.family, config.k, args.bits)
     report = criterion_check(table, eta, window=window)

@@ -1,19 +1,19 @@
 """Catalog of the genus-zero quotient cases and their uniformizers.
 
 Each case family is one frozen record: the prime, the eta-like product
-expansion of the local uniformizer f = q + O(q^2), the builders of the weight
-series and its antiderivative that get re-expanded in f, how the weight grows
-with the index k, the sign that reconciles the re-expansion output with the
-published b-list (and so fixes the sign of the limit), the canaries, the
+expansion of the local uniformizer f = q + O(q^2), its curve (the polynomial
+Q_p that vanishes where theta(f)/f does, and its exponent j), the builders of
+the weight series and its antiderivative that get re-expanded in f, how the
+weight grows with the index k, the sign that reconciles the re-expansion
+output with the published b-list (and so fixes the sign of the limit), the
 recurrences and the oracle.  The (v, e) exponents that feed the closed-form
-witness exponent are read off the family's k = 1 recurrence, not stored.  A
-case is a family at one index k.
+witness exponent are read off the curve, not stored.  A case is a family at
+one index k.
 
-Two exact q-expansion identities act as canaries for the whole catalog: the
-logarithmic derivative theta(f)/f must equal a known power of a multiple of
-the weight series, and for the 2-adic zeta case the sixth power of that
-multiple's series must satisfy the classical genus-zero relation against
-(1 + 2^6 f)^3 / f.  A failure of either aborts the pipeline; nothing
+Two exact q-expansion identities act as canaries for every family: the
+logarithmic derivative G = theta(f)/f must equal a known power of a multiple
+of the weight series, and G^6 (f/Delta) must equal Q_p(f)^j, the genus-zero
+relation of the curve.  A failure of either aborts the pipeline; nothing
 downstream is trustworthy then.
 """
 
@@ -24,6 +24,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import eisenstein
 from .eisenstein import series_e_star, series_f
+from .exactnum import vp
 from .qseries import ProductRecipe, QSeries, expand_product
 from .recurrence import CATALAN_P2, ZETA_P2, ZETA_P2_K2, ZETA_P3, ZETA_P5, RecurrenceSpec
 
@@ -36,14 +37,14 @@ __all__ = [
     "catalog",
     "uniformizer_series",
     "check_log_derivative",
-    "check_elliptic_identity",
+    "check_curve",
     "run_canaries",
 ]
 
 
 class IdentityError(AssertionError):
-    """An internal identity failed (a q-expansion canary, a recurrence or its
-    growth ratio): abort, the build is wrong."""
+    """An internal identity failed (a q-expansion canary or a recurrence):
+    abort, the build is wrong."""
 
 
 class Family(NamedTuple):
@@ -53,7 +54,9 @@ class Family(NamedTuple):
     weight 2k, its antiderivative, and theta(f)/f = mu E*_2.  The series
     builders take (p, weight, prec) and look their eisenstein function up when
     called; the member of weight `weight_step` (k = 1) is the canary's series.
-    The growth exponents `v` and `e` are derived from the k = 1 relation.
+    `curve` is (Q_p's coefficients in ascending powers, j): G^6 (f/Delta) =
+    Q_p(f)^j for G = theta(f)/f.  The growth exponents `v` and `e` are read
+    off Q_p.
     """
 
     name: str
@@ -61,6 +64,7 @@ class Family(NamedTuple):
     recipe: ProductRecipe       # the uniformizer f = q + O(q^2)
     oracle: str                 # the CLI's oracle target for the limit
     recurrence: Mapping[int, RecurrenceSpec]  # k -> relation; other k re-expand
+    curve: tuple[tuple[int, ...], int]        # (Q_p ascending, j)
     sign_b: int = 1             # published b-list = sign_b * [f^n](lam * w)
     weight_step: int = 2        # the weight series has weight weight_step * k
     fixed_k: bool = False       # the family has no weight parameter: k = 1
@@ -70,16 +74,18 @@ class Family(NamedTuple):
     antiderivative: Callable[[int, int, int], QSeries] = (
         lambda p, weight, prec: eisenstein.series_e_prime(p, weight, prec)
     )
-    elliptic_canary: bool = False
 
     @property
     def e(self) -> Fraction:
-        """Archimedean growth exponent: the k = 1 relation's characteristic
-        roots all have modulus p^e, so its solutions grow like p^(e n)."""
-        try:
-            return self.recurrence[1].root_exponent(self.p)
-        except ArithmeticError as exc:
-            raise IdentityError(f"no growth exponent for {self.name}: {exc}") from None
+        """Archimedean growth exponent: each relation's characteristic
+        polynomial is a power of Q_p reversed (the tests check it), whose roots
+        share one modulus p^e and multiply to Q_p's top coefficient, +-p^(e deg).
+
+        >>> FAMILY_TABLE["zeta-p5"].e
+        Fraction(3, 2)
+        """
+        coeffs, _ = self.curve
+        return Fraction(vp(coeffs[-1], self.p), len(coeffs) - 1)
 
     @property
     def v(self) -> Fraction:
@@ -95,17 +101,17 @@ _TABLE = (
     Family(
         "zeta-p2", 2, ProductRecipe(1, ((1, 1, 24),)),
         oracle="zeta-p2", recurrence={1: ZETA_P2, 2: ZETA_P2_K2},
-        elliptic_canary=True,
+        curve=((1, 64), 3),
     ),
     # (Delta(3 tau)/Delta(tau))^(1/2) = q prod ((1-q^{3n})/(1-q^n))^12
     Family(
         "zeta-p3", 3, ProductRecipe(1, ((-1, 3, 12), (-1, 1, -12))),
-        oracle="zeta-p3", recurrence={1: ZETA_P3},
+        oracle="zeta-p3", recurrence={1: ZETA_P3}, curve=((1, 27), 4),
     ),
     # (Delta(5 tau)/Delta(tau))^(1/4) = q prod ((1-q^{5n})/(1-q^n))^6
     Family(
         "zeta-p5", 5, ProductRecipe(1, ((-1, 5, 6), (-1, 1, -6))),
-        oracle="zeta-p5", recurrence={1: ZETA_P5},
+        oracle="zeta-p5", recurrence={1: ZETA_P5}, curve=((1, 22, 125), 3),
     ),
     # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8.  The
     # published table negates the b-list: its b_0 is -1 while the normalized
@@ -114,6 +120,7 @@ _TABLE = (
         "catalan-p2", 2, ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
         oracle="catalan",
         recurrence={1: CATALAN_P2},
+        curve=((1, 16), 5),
         sign_b=-1,
         weight_step=1,
         fixed_k=True,
@@ -170,8 +177,8 @@ def check_log_derivative(config: CaseConfig, prec: int = 16) -> Fraction:
     theta(f)/f has weight 2, so r = 2 / weight_step: r = 1 and w = E*_2 for
     the zeta families, with mu = 24, 12, 6 for p = 2, 3, 5, and r = 2 against
     the weight-one Catalan series, with mu = 4.  Since f = q + O(q^2),
-    theta(f)/f starts at 1, so mu = 1/|w_0|.  Like check_elliptic_identity,
-    the comparison is multiplied through by f: theta(f) = f * (mu * w)^r, with
+    theta(f)/f starts at 1, so mu = 1/|w_0|.  Like check_curve, the
+    comparison is multiplied through by f: theta(f) = f * (mu * w)^r, with
     f and w to prec + 1 terms, checks the quotient to prec terms.
     """
     record = config.family
@@ -187,29 +194,25 @@ def check_log_derivative(config: CaseConfig, prec: int = 16) -> Fraction:
     return mu
 
 
-def check_elliptic_identity(prec: int = 16) -> Fraction:
-    """Genus-zero relation for the 2-adic zeta case.
-
-    With f = q prod (1+q^n)^24 and the normalized weight-2 series
-    Etilde = mu E*_2, mu = 1/|E*_2(0)|, the curve satisfies
-    Etilde^6 / Delta = (1+2^6 f)^3 / f.  Both sides are multiplied by f, so
-    the comparison happens between honest power series:
-    Etilde^6 * (f/Delta) = (1 + 64 f)^3.  Returns mu (= 24).
+def check_curve(config: CaseConfig, prec: int = 16) -> None:
+    """Verify the genus-zero relation G^6 (f/Delta) = Q_p(f)^j of the family's
+    curve, with G = theta(f)/f = (mu * w)^r as checked by check_log_derivative,
+    which runs first.  Multiplied through by f, every factor is a power series
+    with constant term 1: f/Delta is the family's product over (1 - q^n)^24.
     """
-    f = uniformizer_series(catalog("zeta-p2"), prec)
-    # f/Delta = prod ((1+q^n)/(1-q^n))^24, constant term 1
-    ratio = expand_product(ProductRecipe(0, ((1, 1, 24), (-1, 1, -24))), prec)
-    estar = series_e_star(2, 2, prec)
-    rhs = (QSeries.one(prec) + 64 * f) ** 3
-    mu = 1 / abs(estar[0]) if estar[0] else None
-    if mu is None or (mu * estar) ** 6 * ratio != rhs:
-        raise IdentityError("elliptic identity fails for zeta-p2")
-    return mu
+    record = config.family
+    coeffs, j = record.curve
+    f = uniformizer_series(config, prec)
+    w = record.series(record.p, record.weight_step, prec)
+    g = (1 / abs(w[0]) * w) ** (2 // record.weight_step)
+    ratio = expand_product(ProductRecipe(0, record.recipe.factors + ((-1, 1, -24),)), prec)
+    q_of_f = sum((c * f**i for i, c in enumerate(coeffs)), QSeries([0], prec))
+    if g**6 * ratio != q_of_f**j:
+        raise IdentityError(f"G^6 f/Delta is not Q(f)^{j} on the curve of {config.case_id}")
 
 
 def run_canaries(config: CaseConfig, prec: int = 16) -> None:
     """The fast identity checks every pipeline run performs before trusting
     its own series plumbing."""
     check_log_derivative(config, prec)
-    if config.family.elliptic_canary:
-        check_elliptic_identity(prec)
+    check_curve(config, prec)

@@ -13,7 +13,8 @@ allowance, row by row against an oracle value for eta over a finite window.
 A row can only be *certified* when the observed agreement is strictly
 inside the oracle's own trust radius: if the valuation of the difference
 reaches the oracle's agreement exponent, the row sees the oracle's error,
-not eta, and is reported as uncertified rather than passed.
+not eta, and is reported as uncertified rather than passed.  A row of
+height max(|p_n|, q_n) = 1 bounds nothing and never passes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ DEFAULT_WINDOW = (3, 10)
 
 def theta_closed(config: CaseConfig) -> float:
     """Asymptotic irrationality exponent v*log(p) / (e*log(p) + D), with the
-    growth exponents v and e read off the family's k = 1 recurrence."""
+    growth exponents v and e read off the family's curve."""
     family = config.family
     log_p = math.log(family.p)
     return family.v * log_p / (family.e * log_p + config.D)
@@ -99,7 +100,8 @@ def criterion_check(
         if table.b[n] == 0:
             continue
         ratio = table.ratio(n)
-        log_max = log_size(max(abs(ratio.numerator), ratio.denominator))
+        height = max(abs(ratio.numerator), ratio.denominator)
+        log_max = log_size(height)
         gap = vp(eta.representative - sign * ratio, p)
         certified = gap < exponent
         clamped = int(min(gap, exponent))
@@ -109,7 +111,7 @@ def criterion_check(
             implied = math.inf if clamped > 0 else 0.0
         passed = None
         if certified:
-            passed = clamped * math.log(p) >= THETA_REQUIRED * log_max
+            passed = height > 1 and clamped * math.log(p) >= THETA_REQUIRED * log_max
         certificates.append(
             Certificate(
                 n=n,

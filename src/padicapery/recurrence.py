@@ -27,8 +27,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exactnum import vp
-
 CoeffPoly = tuple[int, ...]
 
 
@@ -53,31 +51,6 @@ class RecurrenceSpec:
     @property
     def degree(self) -> int:
         return max(len(poly) - 1 for poly in self.coeff_polys)
-
-    def root_exponent(self, p: int) -> Fraction:
-        """The e with p^e the modulus of the characteristic roots.
-
-        The characteristic polynomial is sum_i lead_i x^(order - i), with
-        lead_i the coefficient of n^degree in P_i.  Its roots, which share one
-        modulus (the tests check this for every built-in relation), multiply
-        to a number of modulus |lead_order / lead_0| = p^(e * order).  A ratio
-        that is not a power of p up to sign raises ArithmeticError.
-
-        >>> ZETA_P5.root_exponent(5)
-        Fraction(3, 2)
-        """
-        first, last = (
-            poly[self.degree] if len(poly) > self.degree else 0
-            for poly in (self.coeff_polys[0], self.coeff_polys[-1])
-        )
-        if first and last:
-            ratio = abs(Fraction(last, first))
-            power = vp(ratio, p)
-            if ratio == Fraction(p) ** power:
-                return Fraction(power, self.order)
-        raise ArithmeticError(
-            f"leading ratio {last}/{first} is not a power of {p} up to sign"
-        )
 
     def poly_value(self, i: int, n: int) -> int:
         value = 0

@@ -13,8 +13,9 @@ import pytest
 
 from padicapery.cli import main
 from padicapery.curves import (
+    FAMILIES,
     catalog,
-    check_elliptic_identity,
+    check_curve,
     check_log_derivative,
 )
 from padicapery.diophantine import theta_closed
@@ -191,7 +192,8 @@ def test_acceptance_8_structural_identities(tables):
     assert first == second
     assert check_log_derivative(catalog("zeta-p2"), prec) == 24
     assert check_log_derivative(catalog("zeta-p3"), prec) == 12
-    assert check_elliptic_identity(prec) == 24
+    for family in FAMILIES:
+        check_curve(catalog(family), prec)
     for p in (2, 3):
         for k in (1, 2):
             prime = series_e_prime(p, 2 * k, prec)

@@ -568,18 +568,18 @@ def test_wrong_recurrence_fails_the_table(capsys, monkeypatch):
 
 
 def test_bad_growth_ratio_fails_certify(capsys, monkeypatch):
-    """theta's v and e are read off the k = 1 relation's leading coefficients;
-    a relation whose leading ratio is not a power of p up to sign fixes no
-    theta, and certify ends with no output rather than a default."""
+    """theta's v and e are read off the curve, not the relation; a relation
+    whose leading ratio disagrees with the curve fails the prefix residual
+    check, and certify ends with no output."""
     family = curves.FAMILY_TABLE["zeta-p2"]
     polys = family.recurrence[1].coeff_polys
     tripled = RecurrenceSpec((polys[0], polys[1], tuple(3 * c for c in polys[2])))
     monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p2", family._replace(recurrence={1: tripled}))
-    code, out, err = run_cli(capsys, "certify", "--case", "zeta-p2")
+    code, out, err = run_cli(capsys, "certify", "--case", "zeta-p2", "--window", "3", "39")
     assert (code, out) == (1, "")
     assert err == (
-        "identity check failed: no growth exponent for zeta-p2: "
-        "leading ratio 24576/2 is not a power of 2 up to sign\n"
+        "identity check failed: recurrence fails for zeta-p2:k=1: "
+        "nonzero residual at n = 2\n"
     )
 
 
@@ -590,17 +590,19 @@ def test_bad_growth_ratio_fails_certify_before_the_oracle(capsys, monkeypatch):
     monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p2", family._replace(recurrence={1: tripled}))
 
     def oracle_must_not_run(*args):
-        raise AssertionError("the oracle ran for a case with no growth exponent")
+        raise AssertionError("the oracle ran for a case whose relation fails")
 
     monkeypatch.setattr(cli, "zeta_p_oracle", oracle_must_not_run)
-    code, out, err = run_cli(capsys, "certify", "--case", "zeta-p2", "--bits", "200")
+    code, out, err = run_cli(
+        capsys, "certify", "--case", "zeta-p2", "--window", "3", "39", "--bits", "200"
+    )
     assert (code, out) == (1, "")
-    assert err.startswith("identity check failed: no growth exponent for zeta-p2")
+    assert err.startswith("identity check failed: recurrence fails for zeta-p2:k=1")
 
 
 def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
-    """The zeta-p2 elliptic identity is the only canary that builds an
-    unshifted eta quotient (f/Delta); doubling it breaks that identity alone."""
+    """The curve canary is the only one that builds an unshifted eta quotient
+    (f/Delta); doubling it breaks that identity alone, for every family."""
     build = curves.expand_product
 
     def doubled_quotient(recipe, prec):
@@ -608,9 +610,22 @@ def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
         return series if recipe.leading_power else 2 * series
 
     monkeypatch.setattr(curves, "expand_product", doubled_quotient)
-    code, out, err = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "3")
+    for family, j in (("zeta-p2", 3), ("zeta-p3", 4), ("zeta-p5", 3), ("catalan-p2", 5)):
+        case_id = curves.catalog(family).case_id
+        code, out, err = run_cli(capsys, "sequences", "--case", family, "-n", "3")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"identity check failed: G^6 f/Delta is not Q(f)^{j} on the curve of {case_id}\n"
+        )
+
+
+def test_wrong_curve_fails_the_table(capsys, monkeypatch):
+    """One coefficient of Q_p off ends the run before any output."""
+    family = curves.FAMILY_TABLE["zeta-p3"]
+    monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p3", family._replace(curve=((1, 28), 4)))
+    code, out, err = run_cli(capsys, "sequences", "--case", "zeta-p3")
     assert (code, out) == (1, "")
-    assert err == "identity check failed: elliptic identity fails for zeta-p2\n"
+    assert err.startswith("identity check failed:")
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from padicapery.curves import (
     FAMILY_TABLE,
     IdentityError,
     catalog,
-    check_elliptic_identity,
+    check_curve,
     check_log_derivative,
     run_canaries,
     uniformizer_series,
@@ -71,8 +71,17 @@ def test_log_derivative_constants():
     assert check_log_derivative(catalog("catalan-p2")) == 4
 
 
-def test_elliptic_identity_constant():
-    assert check_elliptic_identity() == 24
+@pytest.mark.parametrize("family", FAMILIES)
+def test_curve_identity(family):
+    """G^6 (f/Delta) = Q_p(f)^j holds for the family's curve, and fails with
+    Q_p's top coefficient or j off by one."""
+    config = catalog(family)
+    check_curve(config)
+    coeffs, j = config.family.curve
+    for wrong in (((*coeffs[:-1], coeffs[-1] + 1), j), (coeffs, j + 1)):
+        record = config.family._replace(curve=wrong)
+        with pytest.raises(IdentityError):
+            check_curve(config._replace(family=record))
 
 
 def test_run_canaries_all_cases():
@@ -139,36 +148,43 @@ def test_growth_parameters():
 RELATIONS = [(name, k) for name, family in FAMILY_TABLE.items() for k in family.recurrence]
 
 
+def _polymul(first, second):
+    product = [0] * (len(first) + len(second) - 1)
+    for i, x in enumerate(first):
+        for j, y in enumerate(second):
+            product[i + j] += x * y
+    return product
+
+
 def characteristic_quadratic(family, k):
-    """(c, p^(2e)) with chi = lead_0 * (x^2 + c x + p^(2e))^(r/2), checked in
-    integer polynomial arithmetic; chi = sum_i lead_i x^(r - i), lead_i the
-    coefficient of n^degree in P_i."""
+    """(c, p^(2e)) with x^2 + c x + p^(2e) = rev(Q_p)^(2 / deg Q_p), after
+    checking chi = lead_0 * rev(Q_p)^(r / deg Q_p) in integer polynomial
+    arithmetic.  chi = sum_i lead_i x^(r - i), lead_i the coefficient of
+    n^degree in P_i, is listed in descending powers of x, so rev(Q_p) =
+    x^deg Q_p(1/x) is listed as Q_p's own ascending coefficients."""
     record = FAMILY_TABLE[family]
     spec = record.recurrence[k]
     chi = [poly[spec.degree] if len(poly) > spec.degree else 0 for poly in spec.coeff_polys]
-    half, odd = divmod(spec.order, 2)
+    coeffs, _ = record.curve
+    power, odd = divmod(spec.order, len(coeffs) - 1)
     assert not odd
-    e = spec.root_exponent(record.p)
-    assert (2 * e).denominator == 1
-    norm = record.p ** int(2 * e)
-    c, remainder = divmod(chi[1], half * chi[0])
-    assert remainder == 0
-    power = [chi[0]]
-    for _ in range(half):
-        product = [0] * (len(power) + 2)
-        for i, x in enumerate(power):
-            for j, y in enumerate((1, c, norm)):
-                product[i + j] += x * y
-        power = product
-    assert power == chi
+    expected = [chi[0]]
+    for _ in range(power):
+        expected = _polymul(expected, coeffs)
+    assert expected == chi
+    quadratic = [1]
+    for _ in range(2 // (len(coeffs) - 1)):
+        quadratic = _polymul(quadratic, coeffs)
+    one, c, norm = quadratic
+    assert (one, norm) == (1, record.p ** int(2 * record.e))
     return c, norm
 
 
 @pytest.mark.parametrize("family,k", RELATIONS)
 def test_characteristic_roots_share_one_modulus(family, k):
-    """Family.e reads the roots' modulus off their product, which is sound
-    because chi is a power of one real quadratic with c^2 <= 4 p^(2e): its
-    roots are a conjugate pair, or a double root, all of modulus p^e."""
+    """Family.e reads the roots' modulus off the product of Q_p's, which is
+    sound because chi is a power of one real quadratic with c^2 <= 4 p^(2e):
+    its roots are a conjugate pair, or a double root, all of modulus p^e."""
     c, norm = characteristic_quadratic(family, k)
     assert c * c <= 4 * norm
 
@@ -181,5 +197,9 @@ def test_characteristic_factorizations():
         ("zeta-p5", 1): (22, 125),      # (x^2 + 22x + 125)^2
         ("catalan-p2", 1): (32, 256),   # (x + 16)^2
     }
-    zeta_p2 = FAMILY_TABLE["zeta-p2"].recurrence
-    assert zeta_p2[1].root_exponent(2) == zeta_p2[2].root_exponent(2) == 6
+    assert {name: family.e for name, family in FAMILY_TABLE.items()} == {
+        "zeta-p2": 6,
+        "zeta-p3": 3,
+        "zeta-p5": Fraction(3, 2),
+        "catalan-p2": 4,
+    }

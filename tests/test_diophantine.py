@@ -218,6 +218,17 @@ def test_criterion_exact_probe_is_uncertified():
         assert cert.valuation_gap == 25
 
 
+def test_a_row_of_height_one_never_passes():
+    """zeta-p5 row 0 is p/q = 0/1, of height 1, at gap 0: 0 * log 5 >=
+    1.01 * 0 holds, yet the row bounds nothing, so it is certified and fails."""
+    table = sequences(catalog("zeta-p5"), 4)
+    report = criterion_check(table, zeta_p_oracle(5, 1, 40), window=(0, 1))
+    row = report.certificates[0]
+    assert (row.n, row.p_n, row.q_n, row.valuation_gap) == (0, 0, 1, 0)
+    assert row.certified
+    assert row.passed is False
+
+
 def test_zeta_p5_rows_certify_at_the_prototype_gaps():
     """The zeta-p5 rows converge to the series oracle with sign -1; the gaps
     at n = 5, 10, 20, 40, 59 are those an independent Fraction prototype of
