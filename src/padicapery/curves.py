@@ -13,8 +13,9 @@ one index k.
 Two exact q-expansion identities act as canaries for every family: the
 logarithmic derivative G = theta(f)/f must equal a known power of a multiple
 of the weight series, and G^6 (f/Delta) must equal Q_p(f)^j, the genus-zero
-relation of the curve.  A failure of either aborts the pipeline; nothing
-downstream is trustworthy then.
+relation of the curve.  run_canaries builds f and the weight series once and
+checks both in one pass; a failure of either aborts the pipeline, since
+nothing downstream is trustworthy then.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "IdentityError",
     "catalog",
     "uniformizer_series",
-    "check_log_derivative",
-    "check_curve",
     "run_canaries",
 ]
 
@@ -170,49 +169,35 @@ def uniformizer_series(config: CaseConfig, prec: int) -> QSeries:
     return expand_product(config.family.recipe, prec)
 
 
-def check_log_derivative(config: CaseConfig, prec: int = 16) -> Fraction:
-    """Verify theta(f)/f = (mu * w)^r for the family's k = 1 weight series w
-    and return mu.
+def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
+    """Check both identities to prec terms, building f and the k = 1 weight
+    series w once, and return mu.
 
-    theta(f)/f has weight 2, so r = 2 / weight_step: r = 1 and w = E*_2 for
-    the zeta families, with mu = 24, 12, 6 for p = 2, 3, 5, and r = 2 against
-    the weight-one Catalan series, with mu = 4.  Since f = q + O(q^2),
-    theta(f)/f starts at 1, so mu = 1/|w_0|.  Like check_curve, the
-    comparison is multiplied through by f: theta(f) = f * (mu * w)^r, with
-    f and w to prec + 1 terms, checks the quotient to prec terms.
+    G = theta(f)/f has weight 2, so G = (mu * w)^r with r = 2 / weight_step:
+    r = 1 and w = E*_2 for the zeta families, with mu = 24, 12, 6 for
+    p = 2, 3, 5, and r = 2 against the weight-one Catalan series, with mu = 4.
+    Since f = q + O(q^2), G starts at 1, so mu = 1/|w_0|.  Both checks are
+    multiplied through by f: theta(f) = f * G, with f and w to prec + 1
+    terms, then G^6 (f/Delta) = Q_p(f)^j, where f/Delta is the family's
+    product over (1 - q^n)^24.
+
+    >>> run_canaries(catalog("zeta-p3"))
+    Fraction(12, 1)
     """
     record = config.family
     f = uniformizer_series(config, prec + 1)
     w = record.series(record.p, record.weight_step, prec + 1)
     r = 2 // record.weight_step
-    mu = 1 / abs(w[0]) if w[0] else None
-    if mu is None or f * (mu * w) ** r != f.theta():
+    mu = 1 / abs(w[0]) if w[0] else Fraction(0)
+    g = (mu * w) ** r
+    if not mu or f * g != f.theta():
         raise IdentityError(
             f"theta(f)/f is not the power {r} of a multiple of the weight-"
             f"{record.weight_step} series for {config.case_id}"
         )
-    return mu
-
-
-def check_curve(config: CaseConfig, prec: int = 16) -> None:
-    """Verify the genus-zero relation G^6 (f/Delta) = Q_p(f)^j of the family's
-    curve, with G = theta(f)/f = (mu * w)^r as checked by check_log_derivative,
-    which runs first.  Multiplied through by f, every factor is a power series
-    with constant term 1: f/Delta is the family's product over (1 - q^n)^24.
-    """
-    record = config.family
     coeffs, j = record.curve
-    f = uniformizer_series(config, prec)
-    w = record.series(record.p, record.weight_step, prec)
-    g = (1 / abs(w[0]) * w) ** (2 // record.weight_step)
     ratio = expand_product(ProductRecipe(0, record.recipe.factors + ((-1, 1, -24),)), prec)
     q_of_f = sum((c * f**i for i, c in enumerate(coeffs)), QSeries([0], prec))
     if g**6 * ratio != q_of_f**j:
         raise IdentityError(f"G^6 f/Delta is not Q(f)^{j} on the curve of {config.case_id}")
-
-
-def run_canaries(config: CaseConfig, prec: int = 16) -> None:
-    """The fast identity checks every pipeline run performs before trusting
-    its own series plumbing."""
-    check_log_derivative(config, prec)
-    check_curve(config, prec)
+    return mu

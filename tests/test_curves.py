@@ -9,12 +9,12 @@ from padicapery.curves import (
     FAMILY_TABLE,
     IdentityError,
     catalog,
-    check_curve,
-    check_log_derivative,
     run_canaries,
     uniformizer_series,
 )
 from padicapery.qseries import ProductRecipe, QSeries, expand_product
+
+CASES = [("zeta-p2", 1), ("zeta-p2", 2), ("zeta-p3", 1), ("zeta-p5", 1), ("catalan-p2", 1)]
 
 
 def test_catalog_families_and_ids():
@@ -64,11 +64,11 @@ def test_uniformizer_zeta_p2_expansion():
 
 
 def test_log_derivative_constants():
-    assert check_log_derivative(catalog("zeta-p2")) == 24
-    assert check_log_derivative(catalog("zeta-p3")) == 12
-    assert check_log_derivative(catalog("zeta-p5")) == 6
-    assert check_log_derivative(catalog("zeta-p2", 2)) == 24
-    assert check_log_derivative(catalog("catalan-p2")) == 4
+    assert run_canaries(catalog("zeta-p2")) == 24
+    assert run_canaries(catalog("zeta-p3")) == 12
+    assert run_canaries(catalog("zeta-p5")) == 6
+    assert run_canaries(catalog("zeta-p2", 2)) == 24
+    assert run_canaries(catalog("catalan-p2")) == 4
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -76,12 +76,12 @@ def test_curve_identity(family):
     """G^6 (f/Delta) = Q_p(f)^j holds for the family's curve, and fails with
     Q_p's top coefficient or j off by one."""
     config = catalog(family)
-    check_curve(config)
+    run_canaries(config)
     coeffs, j = config.family.curve
     for wrong in (((*coeffs[:-1], coeffs[-1] + 1), j), (coeffs, j + 1)):
         record = config.family._replace(curve=wrong)
-        with pytest.raises(IdentityError):
-            check_curve(config._replace(family=record))
+        with pytest.raises(IdentityError, match=r"^G\^6 f/Delta"):
+            run_canaries(config._replace(family=record))
 
 
 def test_run_canaries_all_cases():
@@ -89,10 +89,31 @@ def test_run_canaries_all_cases():
         run_canaries(catalog(family))
 
 
-@pytest.mark.parametrize(
-    "family,k",
-    [("zeta-p2", 1), ("zeta-p2", 2), ("zeta-p3", 1), ("zeta-p5", 1), ("catalan-p2", 1)],
-)
+@pytest.mark.parametrize("family,k", CASES)
+def test_canaries_build_each_series_once(monkeypatch, family, k):
+    """One canary pass builds the uniformizer once and the family's weight
+    series once, and checks both identities on them."""
+    import padicapery.curves as curves_module
+
+    weight_series = "series_f" if family == "catalan-p2" else "series_e_star"
+    calls = []
+
+    def counted(name):
+        build = getattr(curves_module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+
+        return wrapper
+
+    for name in ("uniformizer_series", "series_e_star", "series_f"):
+        monkeypatch.setattr(curves_module, name, counted(name))
+    run_canaries(catalog(family, k))
+    assert sorted(calls) == sorted(["uniformizer_series", weight_series])
+
+
+@pytest.mark.parametrize("family,k", CASES)
 def test_canary_detects_corruption(monkeypatch, family, k):
     """A wrong uniformizer or a wrong weight series must trip the
     log-derivative canary, on the squared (Catalan) path as well as the
@@ -115,9 +136,9 @@ def test_canary_detects_corruption(monkeypatch, family, k):
     for side in ("uniformizer_series", weight_series):
         with monkeypatch.context() as patch:
             patch.setattr(curves_module, side, corrupted(getattr(curves_module, side)))
-            with pytest.raises(IdentityError):
-                check_log_derivative(config)
-        check_log_derivative(config)
+            with pytest.raises(IdentityError, match=r"theta\(f\)/f"):
+                run_canaries(config)
+        run_canaries(config)
 
 
 def test_eta_quotient_two_recipes_agree():
