@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
-# json is imported inside the writers that emit it, so CSV, plain and series
+# json is imported inside the handlers that emit it, so CSV, plain and series
 # runs do not pay for its import.
 
 from . import curves, recurrence
@@ -75,14 +76,6 @@ def _real(value: float) -> str:
     return format(value, ".10f")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def _resolve_case(parser: argparse.ArgumentParser, family: str, k: int):
     if k > _MAX_INDEX:
         parser.error(f"-k {k} exceeds the cap of {_MAX_INDEX}")
@@ -99,7 +92,7 @@ def _check_size(parser: argparse.ArgumentParser, flag: str, value: int, cap: int
         parser.error(f"{flag} {value} exceeds the cap of {cap}")
 
 
-def _cmd_series(parser, args) -> int:
+def _cmd_series(parser, args) -> tuple[str, int]:
     if (args.form is None) == (args.case is None):
         parser.error("exactly one of --form and --case is required")
     prec = args.prec
@@ -128,8 +121,7 @@ def _cmd_series(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     lines = [f"{n} {series[n]}" for n in range(series.prec)]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 _TABLE_HEADER = ("n", "a_num", "a_den", "b", "p_n", "q_n")
@@ -146,7 +138,7 @@ def _table_rows(table):
     ]
 
 
-def _cmd_sequences(parser, args) -> int:
+def _cmd_sequences(parser, args) -> tuple[str, int]:
     _check_size(parser, "-n", args.count, _MAX_TERMS)
     config = _resolve_case(parser, args.case, args.k)
     rows = _table_rows(sequences(config, args.count))
@@ -165,8 +157,7 @@ def _cmd_sequences(parser, args) -> int:
             f"{n} a={a_num}/{a_den} b={b} p/q={p_n or ''}/{q_n or ''}\n"
             for n, a_num, a_den, b, p_n, q_n in rows
         )
-    _emit(text, args.output)
-    return 0
+    return text, 0
 
 
 def _evaluate_oracle(family: curves.Family, n: int, bits: int):
@@ -176,7 +167,7 @@ def _evaluate_oracle(family: curves.Family, n: int, bits: int):
     return zeta_p_oracle(family.p, n, bits)
 
 
-def _cmd_certify(parser, args) -> int:
+def _cmd_certify(parser, args) -> tuple[str, int]:
     window = tuple(args.window)
     if window[0] < 0 or window[1] < window[0]:
         parser.error("--window needs 0 <= LO <= HI")
@@ -195,40 +186,33 @@ def _cmd_certify(parser, args) -> int:
         "sign": report.sign,
         "theta_closed": _real(report.theta_closed),
     }
-    lines = [
-        json.dumps(
-            {
-                **shared,
-                "certified": cert.certified,
-                "implied_exponent": _real(cert.implied_exponent),
-                "log_max_size": _real(cert.log_max_size),
-                "n": cert.n,
-                "p_n": str(cert.p_n),
-                "q_n": str(cert.q_n),
-                "valuation_gap": cert.valuation_gap,
-            },
-            sort_keys=True,
-        )
+    records = [
+        {
+            **shared,
+            "certified": cert.certified,
+            "implied_exponent": _real(cert.implied_exponent),
+            "log_max_size": _real(cert.log_max_size),
+            "n": cert.n,
+            "p_n": str(cert.p_n),
+            "q_n": str(cert.q_n),
+            "valuation_gap": cert.valuation_gap,
+        }
         for cert in report.certificates
     ]
-    lines.append(
-        json.dumps(
-            {
-                **shared,
-                "certified_rows": report.certified_rows,
-                "oracle_bits": eta.agreement_exponent,
-                "rows": len(report.certificates),
-                "theta_required": _real(THETA_REQUIRED),
-                "verdict": report.verdict,
-            },
-            sort_keys=True,
-        )
+    records.append(
+        {
+            **shared,
+            "certified_rows": report.certified_rows,
+            "oracle_bits": eta.agreement_exponent,
+            "rows": len(report.certificates),
+            "theta_required": _real(THETA_REQUIRED),
+            "verdict": report.verdict,
+        }
     )
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records), 0
 
 
-def _cmd_oracle(parser, args) -> int:
+def _cmd_oracle(parser, args) -> tuple[str, int]:
     _check_size(parser, "--bits", args.bits, _MAX_BITS)
     _check_size(parser, "--digits", args.digits, _MAX_BITS)
     family = _ORACLE_FAMILIES[args.target]
@@ -248,11 +232,10 @@ def _cmd_oracle(parser, args) -> int:
         },
         "target": args.target,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
-    return 0
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", 0
 
 
-def _cmd_recurrence(parser, args) -> int:
+def _cmd_recurrence(parser, args) -> tuple[str, int]:
     _check_size(parser, "-n", args.count, _MAX_TERMS)
     if args.count < 6:
         parser.error("-n must be at least 6 for a meaningful check")
@@ -285,8 +268,7 @@ def _cmd_recurrence(parser, args) -> int:
     )
     import json
 
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
-    return code
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,16 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--weight", type=int)
     p_series.add_argument("--p", type=int)
     p_series.add_argument("--prec", type=int, default=8)
-    p_series.add_argument("-o", "--output")
-    p_series.set_defaults(func=_cmd_series, parser=p_series)
 
     p_seq = sub.add_parser("sequences", help="compute an approximant table")
     p_seq.add_argument("--case", choices=curves.FAMILIES, required=True)
     p_seq.add_argument("-k", type=int, default=1)
     p_seq.add_argument("-n", "--count", type=int, default=8)
     p_seq.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
-    p_seq.add_argument("-o", "--output")
-    p_seq.set_defaults(func=_cmd_sequences, parser=p_seq)
 
     p_cert = sub.add_parser("certify", help="run the irrationality criterion")
     p_cert.add_argument("--case", choices=curves.FAMILIES, required=True)
@@ -322,24 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--window", type=int, nargs=2, default=list(DEFAULT_WINDOW), metavar=("LO", "HI")
     )
-    p_cert.add_argument("-o", "--output")
-    p_cert.set_defaults(func=_cmd_certify, parser=p_cert)
 
     p_oracle = sub.add_parser("oracle", help="evaluate a p-adic limit")
     p_oracle.add_argument("--target", choices=tuple(_ORACLE_FAMILIES), required=True)
     p_oracle.add_argument("-n", type=int, default=1)
     p_oracle.add_argument("--bits", type=int, default=40)
     p_oracle.add_argument("--digits", type=int, default=10)
-    p_oracle.add_argument("-o", "--output")
-    p_oracle.set_defaults(func=_cmd_oracle, parser=p_oracle)
 
     p_rec = sub.add_parser("recurrence", help="verify or refit the recurrence")
     p_rec.add_argument("action", choices=("verify", "fit"))
     p_rec.add_argument("--case", choices=curves.FAMILIES, default="catalan-p2")
     p_rec.add_argument("-k", type=int, default=1)
     p_rec.add_argument("-n", "--count", type=int, default=26)
-    p_rec.add_argument("-o", "--output")
-    p_rec.set_defaults(func=_cmd_recurrence, parser=p_rec)
+
+    # -o comes last in every subcommand, so its usage and help end with it.
+    for command, handler in zip(
+        (p_series, p_seq, p_cert, p_oracle, p_rec),
+        (_cmd_series, _cmd_sequences, _cmd_certify, _cmd_oracle, _cmd_recurrence),
+    ):
+        command.add_argument("-o", "--output")
+        command.set_defaults(func=handler, parser=command)
     return parser
 
 
@@ -350,9 +330,26 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        # Handlers report usage errors through their own subcommand's parser.
-        return args.func(args.parser, args)
+        try:
+            args = build_parser().parse_args(argv)
+            # Handlers report usage errors through their own subcommand's parser.
+            text, code = args.func(args.parser, args)
+            if args.output is None:
+                sys.stdout.write(text)
+            else:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            return code
+        finally:
+            # Flushed here, --help's output too (argparse ignores a failed
+            # write), so a full stdout takes the i/o error branch.  What it
+            # cannot take is dropped (the SIGPIPE recipe of the signal
+            # module's docs), so exit does not fail on it a second time.
+            try:
+                sys.stdout.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
     except curves.IdentityError as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)
         return 1

@@ -669,16 +669,24 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_out_statistics_and_csv():
-    """Nor json, which only the JSON writers import."""
+    """Nor json, which only the JSON handlers import: not at import, and not
+    after a CSV table and a series run through main in the same process."""
+    script = (
+        "import sys\n"
+        "from padicapery.cli import main\n"
+        "def loaded(): return sorted({'statistics', 'csv', 'json'} & set(sys.modules))\n"
+        "seen = [loaded()]\n"
+        "for argv in ('sequences --case zeta-p2 -n 12', 'series --case zeta-p2'):\n"
+        "    assert main(argv.split()) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(seen, file=sys.stderr)\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, padicapery.cli; "
-         "print(sorted({'statistics', 'csv', 'json'} & set(sys.modules)))"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout.startswith("n,a_num,a_den,b,p_n,q_n\n")
+    assert result.stderr == "[[], [], []]\n"
 
 
 def test_main_freezes_the_heap(capsys):
@@ -716,6 +724,62 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith("i/o error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "series --case zeta-p2 --prec 5",
+        "sequences --case catalan-p2 -n 7",
+        "certify --case zeta-p2",
+        "oracle --target catalan --bits 40",
+        "recurrence verify",
+        "--help",
+    ],
+)
+def test_full_stdout_exits_one_with_one_io_error(argv):
+    """A small output that stdout cannot take fails when main flushes it, not
+    at interpreter exit (exit 120 and "Exception ignored in: ...").  Under
+    PYTHONUNBUFFERED argparse drops a failed help write unseen and exits 0, so
+    the child runs without it."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "padicapery", *argv.split()],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert result.returncode == 1
+    assert result.stderr == "i/o error: [Errno 28] No space left on device\n"
+
+
+# sha256 of each --help at 80 columns.  argparse lays help out differently
+# from one Python version to the next, so the digests hold on 3.11 only.
+_HELP_SHA256 = {
+    "padicapery": "2c4d2870973105768d0c50b2af6b51d69cbcd140da5f65c5467f40f5e1fe05b8",
+    "padicapery series": "2877316ed2804c1f3d716db4521776a21fd5f62dbea337927fd21d1a0b5165f0",
+    "padicapery sequences": "d7226bdb04f33656a873f8b586915c1db520362ddaad3f186a5c144a0d5adee3",
+    "padicapery certify": "5d8131738fdecfaf0d3dee0b252be152e3ffdc3929d2901c90d3f449003ab34f",
+    "padicapery oracle": "1ac23044666bee96edf624413cc5072ba888a42cf2a9e41c29c8909a11f77ae2",
+    "padicapery recurrence": "dc6baa14d6d151d9c4f2f78fed641e404c33529d47efba9cf78b73f42d805999",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="help digests are recorded on Python 3.11"
+)
+@pytest.mark.parametrize("command", _HELP_SHA256)
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    """Every usage and help byte, so no option is reordered or dropped."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main([*command.split()[1:], "--help"])
+    assert err.value.code == 0
+    help_text = capsys.readouterr().out
+    assert hashlib.sha256(help_text.encode()).hexdigest() == _HELP_SHA256[command]
 
 
 @pytest.mark.parametrize(
