@@ -271,8 +271,16 @@ def _cmd_recurrence(parser, args) -> tuple[str, int]:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n", code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an OSError raised while it writes help; this writes
+    help itself, so a help text that stdout cannot take reaches main."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicapery",
         description="Exact approximant tables and p-adic irrationality "
         "certificates for zeta and Catalan limits.",
@@ -341,10 +349,10 @@ def main(argv=None) -> int:
                     handle.write(text)
             return code
         finally:
-            # Flushed here, --help's output too (argparse ignores a failed
-            # write), so a full stdout takes the i/o error branch.  What it
-            # cannot take is dropped (the SIGPIPE recipe of the signal
-            # module's docs), so exit does not fail on it a second time.
+            # Flushed here, --help's output too, so a full stdout takes the
+            # i/o error branch.  What it cannot take is dropped (the SIGPIPE
+            # recipe of the signal module's docs), so exit does not fail on
+            # it a second time.
             try:
                 sys.stdout.flush()
             except OSError:

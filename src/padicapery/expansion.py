@@ -41,26 +41,25 @@ def reexpand(
 
     Contract: f is integral and f = q + O(q^2), so f^m starts at q^m with
     coefficient 1 and [f^m]H needs only q^0..q^m of H and f.  One pass over
-    the powers f^m peels every series, in integers over the common
-    denominator of its first `count` coefficients; only f^m is kept.
+    the powers f^m peels every series in integers, keeping f^m only.
     """
     hs = (h, *more)
     if count < 1 or count > min(s.prec for s in (*hs, f)):
         raise ValueError("count must be within the available precision")
     if f[0] != 0 or f[1] != 1:
         raise ValueError("re-expansion needs a uniformizer f = q + O(q^2)")
-    if any(c.denominator != 1 for c in f.coeffs[:count]):
+    if f.den != 1:
         raise ValueError("re-expansion needs a uniformizer with integer coefficients")
     # f = q + sum_j c_j q^j over the nonzero c_j with j >= 2.
-    tail = [(j, c.numerator) for j, c in enumerate(f.coeffs[2:count], 2) if c]
-    rems, dens = zip(*(s.numerators(count) for s in hs))
+    tail = [(j, c) for j, c in enumerate(f.nums[2:count], 2) if c]
+    rems = [list(s.nums[:count]) for s in hs]
     fpow = [1] + [0] * (count - 1)  # f^m; entries below q^m are stale
     out = []
     for m in range(count):
         row = []
-        for rem, den in zip(rems, dens):
+        for rem, s in zip(rems, hs):
             c = rem[m]
-            row.append(Fraction(c, den))
+            row.append(Fraction(c, s.den))
             if c:
                 for i in range(m + 1, count):
                     rem[i] -= c * fpow[i]

@@ -1,37 +1,47 @@
 """Truncated formal power series in q with exact rational coefficients.
 
-A series of precision N is the jet c_0 + c_1 q + ... + c_{N-1} q^{N-1}; all
-arithmetic is exact, and binary operations narrow to the smaller precision of
-the two operands rather than padding with fabricated zeros.
+A series of precision N is the jet c_0 + c_1 q + ... + c_{N-1} q^{N-1}, held as
+integer numerators over one positive denominator in lowest terms (1 for an
+integral series), so the ring operations run in integers and are exact; binary
+operations narrow to the smaller precision of the two operands rather than
+padding with fabricated zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable
 
 __all__ = ["QSeries", "ProductRecipe", "expand_product"]
 
-_Scalar = (int, Fraction)
-
 
 class QSeries:
-    """Dense truncated power series; immutable once constructed."""
+    """Dense truncated power series; immutable once constructed.  Coefficient
+    n is nums[n] / den; QSeries(cs, den=d), d a positive int, has cs[n] / d.
 
-    __slots__ = ("coeffs",)
+    >>> s = QSeries([Fraction(1, 2), 3])
+    >>> s.nums, s.den
+    ((1, 6), 2)
+    """
 
-    def __init__(self, coeffs: Iterable[Fraction | int], prec: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+    __slots__ = ("nums", "den")
+
+    def __init__(self, coeffs: Iterable[Fraction | int], prec: int | None = None, *, den=1):
+        cs = list(coeffs)
         if prec is not None:
             if prec < 1:
                 raise ValueError("precision must be >= 1")
-            cs = cs[:prec] + [Fraction(0)] * (prec - len(cs))
+            cs = cs[:prec] + [0] * (prec - len(cs))
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        d = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (d // c.denominator) for c in cs]
+        g = gcd(den * d, *nums)
+        self.nums: tuple[int, ...] = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+        self.den: int = den * d // g
 
     # -- constructors ------------------------------------------------------
 
@@ -43,58 +53,48 @@ class QSeries:
 
     @property
     def prec(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def numerators(self, n: int) -> tuple[list[int], int]:
-        """The first n coefficients as integers over the lcm d of their
-        denominators, and d."""
-        cs = self.coeffs[:n]
-        d = lcm(*(c.denominator for c in cs))
-        return [c.numerator * (d // c.denominator) for c in cs], d
+        return Fraction(self.nums[n], self.den)
 
     def __eq__(self, other) -> bool:
         # Jets agree when they agree on every index both sides can see.  That
         # is not transitive across precisions, so jets define no __hash__.
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.prec, other.prec)
-        return self.coeffs[:n] == other.coeffs[:n]
+        return all(a * other.den == b * self.den for a, b in zip(self.nums, other.nums))
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"{c}*q^{i}" for i, c in enumerate(self.coeffs[:6]) if c
-        ) or "0"
-        return f"QSeries({body} + O(q^{self.prec}))"
+        body = " + ".join(f"{c}*q^{i}" for i, c in enumerate(self.coeffs[:6]) if c)
+        return f"QSeries({body or 0} + O(q^{self.prec}))"
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.prec, other.prec)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return QSeries([a * sa + b * sb for a, b in zip(self.nums, other.nums)], den=den)
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, _Scalar):
-            c = Fraction(other)
-            return QSeries([a * c for a in self.coeffs])
-        # Integer convolution: one gcd per output coefficient, not per term.
+        if isinstance(other, (int, Fraction)):
+            c = other.numerator
+            return QSeries([a * c for a in self.nums], den=self.den * other.denominator)
+        # Integer convolution over the product of the two denominators.
         n = min(self.prec, other.prec)
-        a, da = self.numerators(n)
-        b, db = other.numerators(n)
         out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                for j in range(n - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        den = da * db
-        return QSeries([Fraction(c, den) for c in out])
+        for i, a in enumerate(self.nums[:n]):
+            if a:
+                for j, b in enumerate(other.nums[: n - i], i):
+                    if b:
+                        out[j] += a * b
+        return QSeries(out, den=self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -114,7 +114,7 @@ class QSeries:
 
     def theta(self) -> "QSeries":
         """q d/dq: multiplies the n-th coefficient by n."""
-        return QSeries([n * c for n, c in enumerate(self.coeffs)])
+        return QSeries([n * c for n, c in enumerate(self.nums)], den=self.den)
 
 
 @dataclass(frozen=True)

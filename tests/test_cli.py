@@ -293,6 +293,25 @@ def test_certify_deep_bytes_match_reference(family, capsys):
     assert (hashlib.sha256(out.encode()).hexdigest(), err) == CERTIFY_DEEP[family]
 
 
+# sha256 of `certify --case FAMILY --window 3 255 --bits 2048` stdout: every
+# row the term cap allows, with heights past 512 bits, where exactnum.log_size
+# and math.log differ in the printed tenth decimal on some rows.
+CERTIFY_WINDOW_255 = {
+    "zeta-p2": "b02cd273f26bd4c5766f5b1099c8e0151f8f5ceeaf25f836393c31bc9bb1e997",
+    "zeta-p3": "8b9e5f55a8312137afdd4c29a7e97da2fc0e64d775f9d5c463f8c1f0e58aab5d",
+    "catalan-p2": "38826c81235ad8e54e492e202930b137f397857fc36ef35fc263e4020d5d5338",
+}
+
+
+@pytest.mark.parametrize("family", sorted(CERTIFY_WINDOW_255))
+def test_certify_window_255_bytes_match_reference(family, capsys):
+    code, out, err = run_cli(
+        capsys, "certify", "--case", family, "--window", "3", "255", "--bits", "2048"
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_WINDOW_255[family]
+
+
 # sha256 of `certify --case zeta-p3` stdout at the default window.
 CERTIFY_ZETA_P3 = "e4d5a204bab27018439c1f067d951119f95a44ead917788e972826a1cd389c26"
 
@@ -726,27 +745,31 @@ def test_unwritable_output_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+_FULL_STDOUT_ARGV = (
+    "series --case zeta-p2 --prec 5",
+    "sequences --case catalan-p2 -n 7",
+    "certify --case zeta-p2",
+    "oracle --target catalan --bits 40",
+    "recurrence verify",
+    "--help",
+)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 @pytest.mark.parametrize(
-    "argv",
-    [
-        "series --case zeta-p2 --prec 5",
-        "sequences --case catalan-p2 -n 7",
-        "certify --case zeta-p2",
-        "oracle --target catalan --bits 40",
-        "recurrence verify",
-        "--help",
-    ],
+    "flags,argv",
+    [pytest.param((), argv, id=argv) for argv in _FULL_STDOUT_ARGV]
+    + [pytest.param(("-u",), argv, id=f"-u {argv}") for argv in _FULL_STDOUT_ARGV],
 )
-def test_full_stdout_exits_one_with_one_io_error(argv):
+def test_full_stdout_exits_one_with_one_io_error(flags, argv):
     """A small output that stdout cannot take fails when main flushes it, not
-    at interpreter exit (exit 120 and "Exception ignored in: ...").  Under
-    PYTHONUNBUFFERED argparse drops a failed help write unseen and exits 0, so
-    the child runs without it."""
+    at interpreter exit (exit 120 and "Exception ignored in: ...").  With a
+    write-through stdout (python -u, or PYTHONUNBUFFERED) it fails at the
+    write itself, --help's too: argparse would drop that error and exit 0."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
         result = subprocess.run(
-            [sys.executable, "-m", "padicapery", *argv.split()],
+            [sys.executable, *flags, "-m", "padicapery", *argv.split()],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,

@@ -141,6 +141,19 @@ def test_canary_detects_corruption(monkeypatch, family, k):
         run_canaries(config)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integral_series_carry_denominator_one(family):
+    """The uniformizer and the canary's weight-two G = (mu * w)^r are
+    integral, so they are held as ints over the denominator 1."""
+    config = catalog(family)
+    record = config.family
+    w = record.series(record.p, record.weight_step, 17)
+    g = (run_canaries(config) * w) ** (2 // record.weight_step)
+    for series in (uniformizer_series(config, 256), g):
+        assert series.den == 1
+        assert all(type(c) is int for c in series.nums)
+
+
 def test_eta_quotient_two_recipes_agree():
     """Delta(2 tau)/Delta(tau) as (shifted) eta quotient two different ways.
 

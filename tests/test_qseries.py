@@ -1,7 +1,7 @@
 """Truncated q-series ring and infinite-product expansion."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -187,3 +187,37 @@ def test_binomial_coefficients_in_negative_power():
     assert series[0] == 1
     assert series[7] == -3
     assert series[14] == comb(4, 2) - 3
+
+
+@given(st.lists(product_coeffs, min_size=1, max_size=12))
+def test_numerators_over_one_denominator_in_lowest_terms(cs):
+    series = QSeries(cs)
+    assert series.coeffs == tuple(map(Fraction, cs))
+    assert series.den > 0 and gcd(series.den, *series.nums) == 1
+    assert all(type(c) is int for c in series.nums)
+
+
+@given(
+    st.lists(product_coeffs, min_size=1, max_size=8),
+    st.lists(product_coeffs, min_size=1, max_size=8),
+    st.lists(product_coeffs, max_size=4),
+)
+def test_equality_agrees_with_fraction_comparison(a, b, extra):
+    """Jets compare their common prefix as Fractions, whatever each one's
+    denominator; a longer tail may change the denominator but not equality."""
+    n = min(len(a), len(b))
+    expected = list(map(Fraction, a[:n])) == list(map(Fraction, b[:n]))
+    assert (QSeries(a) == QSeries(b)) == expected
+    assert QSeries(a) == QSeries(a + extra)
+    bumped = [Fraction(a[0]) + Fraction(1, 3), *a[1:]]
+    assert QSeries(a) != QSeries(bumped + extra)
+
+
+def test_ring_operations_reduce_to_lowest_terms():
+    s = QSeries([Fraction(1, 2), Fraction(1, 4)])
+    assert (s.nums, s.den) == ((2, 1), 4)
+    assert ((s + s).nums, (s + s).den) == ((2, 1), 2)
+    assert ((4 * s).nums, (4 * s).den) == ((2, 1), 1)
+    assert ((s * s).nums, (s * s).den) == ((1, 1), 4)
+    assert (s.theta().nums, s.theta().den) == ((0, 1), 4)
+    assert ((s * Fraction(2, 3)).nums, (s * Fraction(2, 3)).den) == ((2, 1), 6)
