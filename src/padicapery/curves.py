@@ -1,14 +1,15 @@
 """Catalog of the genus-zero quotient cases and their uniformizers.
 
-Each case family is one frozen record: the prime, the eta-like product
-expansion of the local uniformizer f = q + O(q^2), its curve (the polynomial
-Q_p that vanishes where theta(f)/f does, and its exponent j), the builders of
-the weight series and its antiderivative that get re-expanded in f, how the
-weight grows with the index k, the sign that reconciles the re-expansion
-output with the published b-list (and so fixes the sign of the limit), the
-recurrences and the oracle.  The (v, e) exponents that feed the closed-form
-witness exponent are read off the curve, not stored.  A case is a family at
-one index k.
+Each case family is one frozen record: the prime, the local uniformizer
+f = q + O(q^2) as (delta, r) pairs of its eta quotient prod eta(delta tau)^r
+(the Hauptmodul (eta(N tau)/eta(tau))^(24/(N-1)), with N = p for zeta_p and
+N = 4 for Catalan), its curve (the polynomial Q_p that vanishes where
+theta(f)/f does, and its exponent j), the builders of the weight series and
+its antiderivative that get re-expanded in f, how the weight grows with the
+index k, the sign that reconciles the re-expansion output with the published
+b-list (and so fixes the sign of the limit), the recurrences and the oracle.
+The (v, e) exponents that feed the closed-form witness exponent are read off
+the curve, not stored.  A case is a family at one index k.
 
 Two exact q-expansion identities act as canaries for every family: the
 logarithmic derivative G = theta(f)/f must equal a known power of a multiple
@@ -26,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple
 from . import eisenstein
 from .eisenstein import series_e_star, series_f
 from .exactnum import vp
-from .qseries import ProductRecipe, QSeries, expand_product
+from .qseries import QSeries, expand_product
 from .recurrence import CATALAN_P2, ZETA_P2, ZETA_P2_K2, ZETA_P3, ZETA_P5, RecurrenceSpec
 
 __all__ = [
@@ -60,7 +61,7 @@ class Family(NamedTuple):
 
     name: str
     p: int
-    recipe: ProductRecipe       # the uniformizer f = q + O(q^2)
+    eta: tuple[tuple[int, int], ...]  # (delta, r): f = prod eta(delta tau)^r
     oracle: str                 # the CLI's oracle target for the limit
     recurrence: Mapping[int, RecurrenceSpec]  # k -> relation; other k re-expand
     curve: tuple[tuple[int, ...], int]        # (Q_p ascending, j)
@@ -96,27 +97,23 @@ class Family(NamedTuple):
 
 
 _TABLE = (
-    # Delta(2 tau)/Delta(tau) = q prod (1+q^n)^24
     Family(
-        "zeta-p2", 2, ProductRecipe(1, ((1, 1, 24),)),
+        "zeta-p2", 2, ((1, -24), (2, 24)),
         oracle="zeta-p2", recurrence={1: ZETA_P2, 2: ZETA_P2_K2},
         curve=((1, 64), 3),
     ),
-    # (Delta(3 tau)/Delta(tau))^(1/2) = q prod ((1-q^{3n})/(1-q^n))^12
     Family(
-        "zeta-p3", 3, ProductRecipe(1, ((-1, 3, 12), (-1, 1, -12))),
+        "zeta-p3", 3, ((1, -12), (3, 12)),
         oracle="zeta-p3", recurrence={1: ZETA_P3}, curve=((1, 27), 4),
     ),
-    # (Delta(5 tau)/Delta(tau))^(1/4) = q prod ((1-q^{5n})/(1-q^n))^6
     Family(
-        "zeta-p5", 5, ProductRecipe(1, ((-1, 5, 6), (-1, 1, -6))),
+        "zeta-p5", 5, ((1, -6), (5, 6)),
         oracle="zeta-p5", recurrence={1: ZETA_P5}, curve=((1, 22, 125), 3),
     ),
-    # (Delta(4 tau)/Delta(tau))^(1/3) = q prod (1+q^n)^8 (1+q^{2n})^8.  The
-    # published table negates the b-list: its b_0 is -1 while the normalized
-    # constant term is +1.
+    # The published table negates the b-list: its b_0 is -1 while the
+    # normalized constant term is +1.
     Family(
-        "catalan-p2", 2, ProductRecipe(1, ((1, 1, 8), (1, 2, 8))),
+        "catalan-p2", 2, ((1, -8), (4, 8)),
         oracle="catalan",
         recurrence={1: CATALAN_P2},
         curve=((1, 16), 5),
@@ -166,7 +163,7 @@ def catalog(family: str, k: int = 1) -> CaseConfig:
 def uniformizer_series(config: CaseConfig, prec: int) -> QSeries:
     """q-expansion of the case uniformizer, f = q + O(q^2) with integer
     coefficients."""
-    return expand_product(config.family.recipe, prec)
+    return expand_product(config.family.eta, prec)
 
 
 def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
@@ -178,8 +175,8 @@ def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
     p = 2, 3, 5, and r = 2 against the weight-one Catalan series, with mu = 4.
     Since f = q + O(q^2), G starts at 1, so mu = 1/|w_0|.  Both checks are
     multiplied through by f: theta(f) = f * G, with f and w to prec + 1
-    terms, then G^6 (f/Delta) = Q_p(f)^j, where f/Delta is the family's
-    product over (1 - q^n)^24.
+    terms, then G^6 (f/Delta) = Q_p(f)^j, where f/Delta is the eta quotient
+    of f times eta(tau)^-24.
 
     >>> run_canaries(catalog("zeta-p3"))
     Fraction(12, 1)
@@ -196,7 +193,7 @@ def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
             f"{record.weight_step} series for {config.case_id}"
         )
     coeffs, j = record.curve
-    ratio = expand_product(ProductRecipe(0, record.recipe.factors + ((-1, 1, -24),)), prec)
+    ratio = expand_product(record.eta + ((1, -24),), prec)
     q_of_f = sum((c * f**i for i, c in enumerate(coeffs)), QSeries([0], prec))
     if g**6 * ratio != q_of_f**j:
         raise IdentityError(f"G^6 f/Delta is not Q(f)^{j} on the curve of {config.case_id}")

@@ -9,13 +9,12 @@ padding with fabricated zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable
 
-__all__ = ["QSeries", "ProductRecipe", "expand_product"]
+__all__ = ["QSeries", "expand_product"]
 
 
 class QSeries:
@@ -117,50 +116,39 @@ class QSeries:
         return QSeries([n * c for n, c in enumerate(self.nums)], den=self.den)
 
 
-@dataclass(frozen=True)
-class ProductRecipe:
-    """q**leading_power * prod over factors (sign, stride, exponent) of
-    prod_{n>=1} (1 + sign * q**(stride*n)) ** exponent.
+def expand_product(eta: tuple[tuple[int, int], ...], prec: int) -> QSeries:
+    """Expand the eta quotient prod eta(delta tau)^r over the (delta, r) pairs
+    of eta to the requested precision.
 
-    Signs are +-1, strides positive, exponents any integer.  Every factor is a
-    power of 1 + O(q) with integer coefficients (for a negative exponent, the
-    generalized binomial series), so the product is integral.
-    """
+    Since eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), the quotient is q^s P with
+    s = sum delta r / 24, which must be a whole number >= 0, and
+    P = prod (1 - q^(delta n))^r integral.  P is built from its logarithmic
+    derivative theta(P)/P = sum c_n q^n: a pair takes r d off c_n for every
+    multiple d of delta that divides n, so c is one divisor sieve over the
+    pairs; then n P_n = sum_{j=1..n} c_j P_{n-j}, P_0 = 1.
 
-    leading_power: int
-    factors: tuple[tuple[int, int, int], ...]
+    eta(24 tau) = sum_k (-1)^k q^((6k+1)^2), Euler's pentagonal theorem:
 
-    def __post_init__(self):
-        if self.leading_power < 0:
-            raise ValueError("leading power must be >= 0")
-        for sign, stride, exponent in self.factors:
-            if sign not in (1, -1):
-                raise ValueError("factor sign must be +1 or -1")
-            if stride < 1:
-                raise ValueError("factor stride must be >= 1")
-            if not isinstance(exponent, int):
-                raise ValueError("factor exponent must be an integer")
-
-
-def expand_product(recipe: ProductRecipe, prec: int) -> QSeries:
-    """Expand an eta-like infinite product to the requested precision.
-
-    The product P (without its leading power of q) is built from its
-    logarithmic derivative theta(P)/P = sum c_N q^N.  A factor
-    (1 + sign * q^d)^e adds -e * d * (-sign)^r to c_{d*r}, so c is one divisor
-    sieve over the factors; then N P_N = sum_{j=1..N} c_j P_{N-j}, P_0 = 1.
+    >>> s = expand_product(((24, 1),), 170)
+    >>> [(n, c) for n, c in enumerate(s.nums) if c]
+    [(1, 1), (25, -1), (49, -1), (121, 1), (169, 1)]
     """
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    size = prec - recipe.leading_power
+    if any(delta < 1 or not isinstance(r, int) for delta, r in eta):
+        raise ValueError("an eta factor needs delta >= 1 and an integer exponent")
+    power, rest = divmod(sum(delta * r for delta, r in eta), 24)
+    if power < 0 or rest:
+        raise ValueError("the q-power sum(delta * r) / 24 must be a whole number >= 0")
+    size = prec - power
     c = [0] * size
-    for sign, stride, exponent in recipe.factors:
-        for d in range(stride, size, stride):
+    for delta, r in eta:
+        for d in range(delta, size, delta):
             for n in range(d, size, d):
-                c[n] -= exponent * d * (-sign) ** (n // d)
+                c[n] -= r * d
     coeffs = [1]
     for n in range(1, size):
-        # P has integer coefficients (see ProductRecipe), so the sum is n
-        # times one of them and // is exact.
+        # P has integer coefficients, so the sum is n times one of them and
+        # // is exact.
         coeffs.append(sum(map(mul, c[1 : n + 1], reversed(coeffs))) // n)
-    return QSeries([0] * recipe.leading_power + coeffs, prec)
+    return QSeries([0] * power + coeffs, prec)

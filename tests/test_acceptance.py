@@ -18,7 +18,7 @@ from padicapery.eisenstein import chi4, series_e_prime, series_evil, series_f
 from padicapery.exactnum import vp
 from padicapery.expansion import sequences
 from padicapery.oracle import catalan_2adic_oracle, zeta_p_oracle
-from padicapery.qseries import ProductRecipe, expand_product
+from padicapery.qseries import QSeries, expand_product
 from padicapery.recurrence import CATALAN_P2, fit_recurrence, verify_recurrence
 
 ALL_CASES = (
@@ -182,9 +182,11 @@ def test_acceptance_7_witness_verdicts(capsys):
 
 def test_acceptance_8_structural_identities(tables):
     prec = 64
-    first = expand_product(ProductRecipe(1, ((1, 1, 24),)), prec)
-    second = expand_product(ProductRecipe(1, ((-1, 2, 24), (-1, 1, -24))), prec)
-    assert first == second
+    one_plus_q_n = QSeries.one(prec)
+    for n in range(1, prec):
+        one_plus_q_n = one_plus_q_n * QSeries([1] + [0] * (n - 1) + [1], prec)
+    # q prod (1+q^n)^24 = eta(2 tau)^24 / eta(tau)^24
+    assert QSeries([0, 1], prec) * one_plus_q_n**24 == expand_product(((1, -24), (2, 24)), prec)
     mu = {"zeta-p2": 24, "zeta-p3": 12, "zeta-p5": 6, "catalan-p2": 4}
     for family in FAMILIES:
         assert run_canaries(catalog(family), prec) == mu[family]

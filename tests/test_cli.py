@@ -620,13 +620,13 @@ def test_bad_growth_ratio_fails_certify_before_the_oracle(capsys, monkeypatch):
 
 
 def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
-    """The curve canary is the only one that builds an unshifted eta quotient
-    (f/Delta); doubling it breaks that identity alone, for every family."""
+    """The curve canary is the only one that builds an eta quotient of q-power
+    0 (f/Delta); doubling it breaks that identity alone, for every family."""
     build = curves.expand_product
 
-    def doubled_quotient(recipe, prec):
-        series = build(recipe, prec)
-        return series if recipe.leading_power else 2 * series
+    def doubled_quotient(eta, prec):
+        series = build(eta, prec)
+        return 2 * series if sum(delta * r for delta, r in eta) == 0 else series
 
     monkeypatch.setattr(curves, "expand_product", doubled_quotient)
     for family, j in (("zeta-p2", 3), ("zeta-p3", 4), ("zeta-p5", 3), ("catalan-p2", 5)):

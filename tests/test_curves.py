@@ -12,7 +12,7 @@ from padicapery.curves import (
     run_canaries,
     uniformizer_series,
 )
-from padicapery.qseries import ProductRecipe, QSeries, expand_product
+from padicapery.qseries import QSeries, expand_product
 
 CASES = [("zeta-p2", 1), ("zeta-p2", 2), ("zeta-p3", 1), ("zeta-p5", 1), ("catalan-p2", 1)]
 
@@ -155,20 +155,34 @@ def test_integral_series_carry_denominator_one(family):
 
 
 def test_eta_quotient_two_recipes_agree():
-    """Delta(2 tau)/Delta(tau) as (shifted) eta quotient two different ways.
-
-    q * prod (1+q^n)^24 must equal q * prod (1-q^{2n})^24 / (1-q^n)^24.
-    """
-    first = expand_product(ProductRecipe(1, ((1, 1, 24),)), 24)
-    second = expand_product(ProductRecipe(1, ((-1, 2, 24), (-1, 1, -24))), 24)
-    assert first == second
+    """Delta(2 tau)/Delta(tau) two ways: as the eta quotient
+    eta(2 tau)^24 / eta(tau)^24 and as q * prod (1+q^n)^24, multiplied out."""
+    one_plus_q_n = QSeries.one(24)
+    for n in range(1, 24):
+        one_plus_q_n = one_plus_q_n * QSeries([1] + [0] * (n - 1) + [1], 24)
+    assert expand_product(((1, -24), (2, 24)), 24) == QSeries([0, 1], 24) * one_plus_q_n**24
 
 
 def test_catalan_uniformizer_cube_is_eta_quotient():
     """z^3 = Delta(4 tau)/Delta(tau) as a product identity."""
     z = uniformizer_series(catalog("catalan-p2"), 20)
-    cube = expand_product(ProductRecipe(3, ((-1, 4, 24), (-1, 1, -24))), 20)
+    cube = expand_product(((1, -24), (4, 24)), 20)
     assert z**3 == cube
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_uniformizer_eta_quotient_is_weight_zero_and_starts_at_q(family):
+    """sum r = 0 makes f a modular function; sum delta r = 24 makes its q-power
+    1, so f = q + O(q^2)."""
+    eta = FAMILY_TABLE[family].eta
+    assert sum(r for _, r in eta) == 0
+    assert sum(delta * r for delta, r in eta) == 24
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_canaries_hold_at_the_term_cap(family):
+    """Both identities, f/Delta included, hold out to 256 terms."""
+    run_canaries(catalog(family), 256)
 
 
 def test_growth_parameters():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicapery.qseries import ProductRecipe, QSeries, expand_product
+from padicapery.qseries import QSeries, expand_product
 
 coeffs = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30
@@ -73,8 +73,8 @@ def test_theta_multiplies_by_n():
     assert [t[i] for i in range(4)] == [0, 1, 4, 9]
 
 
-def _binomial_factor_oracle(sign: int, stride: int, exponent: int, prec: int) -> QSeries:
-    """(1 + sign*q**stride)**exponent expanded by the binomial series."""
+def _binomial_factor_oracle(stride: int, exponent: int, prec: int) -> QSeries:
+    """(1 - q**stride)**exponent expanded by the binomial series."""
     out = [Fraction(0)] * prec
     j = 0
     while j * stride < prec:
@@ -83,56 +83,59 @@ def _binomial_factor_oracle(sign: int, stride: int, exponent: int, prec: int) ->
         c = Fraction(1)
         for i in range(j):
             c = c * Fraction(exponent - i, i + 1)
-        out[j * stride] = c * sign**j
+        out[j * stride] = c * (-1) ** j
         j += 1
     return QSeries(out)
 
 
 @given(
     st.integers(min_value=-6, max_value=6).filter(lambda e: e != 0),
-    st.sampled_from([1, -1]),
     st.integers(min_value=1, max_value=3),
 )
-def test_expand_product_single_factor_matches_binomial(exponent, sign, stride):
-    recipe = ProductRecipe(0, ((sign, stride, exponent),))
-    got = expand_product(recipe, 12)
-    want = _binomial_factor_oracle(sign, stride, exponent, 12)
-    # the recipe multiplies factors for every stride multiple; rebuild that
+def test_expand_product_single_factor_matches_binomial(exponent, stride):
+    """eta(stride tau)^e / eta(tau)^(stride e) has q-power 0 and is the product
+    of the binomial series of (1 - q^(stride n))^e and (1 - q^n)^(-stride e)."""
+    got = expand_product(((stride, exponent), (1, -stride * exponent)), 12)
     expected = QSeries.one(12)
-    m = stride
-    while m < 12:
-        expected = expected * _binomial_factor_oracle(sign, m, exponent, 12)
-        m += stride
+    for m in range(1, 12):
+        expected = expected * _binomial_factor_oracle(m, -stride * exponent, 12)
+        if m % stride == 0:
+            expected = expected * _binomial_factor_oracle(m, exponent, 12)
     assert got == expected
-    assert want == _binomial_factor_oracle(sign, stride, exponent, 12)
 
 
 def test_expand_product_euler_function_pentagonal():
-    """prod (1 - q^n) has the pentagonal-number expansion."""
-    recipe = ProductRecipe(0, ((-1, 1, 1),))
-    series = expand_product(recipe, 16)
+    """eta(24 tau) = q prod (1 - q^(24 n)): its coefficient at 1 + 24 m is that
+    of q^m in prod (1 - q^n), which has the pentagonal-number expansion."""
+    series = expand_product(((24, 1),), 24 * 16)
     expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
-    for n in range(16):
-        assert series[n] == expected.get(n, 0)
+    for n in range(24 * 16):
+        m, rest = divmod(n - 1, 24)
+        assert series[n] == (expected.get(m, 0) if rest == 0 else 0)
 
 
 def test_expand_product_leading_power_and_validation():
-    recipe = ProductRecipe(2, ((1, 1, 2),))
-    series = expand_product(recipe, 6)
+    """The q-power is sum(delta * r) / 24; a quotient whose q-power is not a
+    whole number >= 0, a delta < 1 or a non-int exponent is refused."""
+    series = expand_product(((1, 48),), 6)  # Delta^2 = q^2 (1 - 24 q + ...)^2
     assert series[0] == 0 and series[1] == 0 and series[2] == 1
-    assert series[3] == 2
-    assert expand_product(ProductRecipe(7, ((1, 1, 2),)), 6) == QSeries([], 6)
-    with pytest.raises(ValueError):
-        ProductRecipe(0, ((2, 1, 1),))
-    with pytest.raises(ValueError):
-        ProductRecipe(0, ((1, 0, 1),))
+    assert series[3] == -48
+    assert expand_product(((8, 24),), 6) == QSeries([], 6)
+    for eta in (((0, 24),), ((24, Fraction(1)),), ((24, 1.0),), ((1, 1),), ((1, -24),)):
+        with pytest.raises(ValueError):
+            expand_product(eta, 6)
 
 
 def test_partition_generating_function():
-    recipe = ProductRecipe(0, ((-1, 1, -1),))
-    series = expand_product(recipe, 10)
-    partitions = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-    assert [series[n] for n in range(10)] == partitions
+    """eta(25 tau)/eta(tau) = q prod (1 - q^(25 n)) / prod (1 - q^n), which is
+    q sum p(n) q^n below q^26."""
+    series = expand_product(((1, -1), (25, 1)), 26)
+    partitions = [1] + [0] * 24
+    for part in range(1, 25):
+        for n in range(part, 25):
+            partitions[n] += partitions[n - part]
+    assert partitions[:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert [series[n] for n in range(26)] == [0] + partitions
 
 
 @given(short_series(min_prec=4), st.integers(min_value=1, max_value=3))
@@ -182,11 +185,12 @@ def test_mul_matches_fraction_convolution(a, b):
 
 
 def test_binomial_coefficients_in_negative_power():
-    # (1+q^7)^-3 contributes comb(4,2) at q^14, (1+q^14)^-3 contributes -3
-    series = expand_product(ProductRecipe(0, ((1, 7, -3),)), 15)
+    """eta(7 tau)^-3 eta(21 tau) is prod (1-q^(7n))^-3 below q^21: (1-q^7)^-3
+    contributes comb(4,2) at q^14, (1-q^14)^-3 contributes 3."""
+    series = expand_product(((7, -3), (21, 1)), 15)
     assert series[0] == 1
-    assert series[7] == -3
-    assert series[14] == comb(4, 2) - 3
+    assert series[7] == 3
+    assert series[14] == comb(4, 2) + 3
 
 
 @given(st.lists(product_coeffs, min_size=1, max_size=12))
