@@ -25,9 +25,6 @@ import gc
 import os
 import sys
 
-# json is imported inside the handlers that emit it, so CSV, plain and series
-# runs do not pay for its import.
-
 from . import curves, recurrence
 from .diophantine import DEFAULT_WINDOW, THETA_REQUIRED, criterion_check
 from .eisenstein import (
@@ -74,6 +71,14 @@ _MAX_WEIGHT = 2 * _MAX_INDEX + 1
 
 def _real(value: float) -> str:
     return format(value, ".10f")
+
+
+def _json(value, indent=2) -> str:
+    """value as sorted-key JSON and a newline."""
+    # Imported here, so CSV, plain and series runs do not pay for it.
+    import json
+
+    return json.dumps(value, sort_keys=True, indent=indent) + "\n"
 
 
 def _resolve_case(parser: argparse.ArgumentParser, family: str, k: int):
@@ -143,10 +148,7 @@ def _cmd_sequences(parser, args) -> tuple[str, int]:
     config = _resolve_case(parser, args.case, args.k)
     rows = _table_rows(sequences(config, args.count))
     if args.format == "json":
-        import json
-
-        records = [dict(zip(_TABLE_HEADER, row)) for row in rows]
-        text = json.dumps(records, sort_keys=True, indent=2) + "\n"
+        text = _json([dict(zip(_TABLE_HEADER, row)) for row in rows])
     elif args.format == "csv":
         # Every field is a decimal integer or empty, so nothing needs quoting.
         lines = [",".join(_TABLE_HEADER)]
@@ -179,8 +181,6 @@ def _cmd_certify(parser, args) -> tuple[str, int]:
     table = sequences(config, window[1] + 1)
     eta = _evaluate_oracle(config.family, config.k, args.bits)
     report = criterion_check(table, eta, window=window)
-    import json
-
     shared = {
         "case": report.case_id,
         "sign": report.sign,
@@ -209,7 +209,7 @@ def _cmd_certify(parser, args) -> tuple[str, int]:
             "verdict": report.verdict,
         }
     )
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records), 0
+    return "".join(_json(record, indent=None) for record in records), 0
 
 
 def _cmd_oracle(parser, args) -> tuple[str, int]:
@@ -220,8 +220,6 @@ def _cmd_oracle(parser, args) -> tuple[str, int]:
         parser.error("the Catalan oracle is defined for n = 1 only")
     _check_size(parser, "-n", args.n, _MAX_INDEX)
     value = _evaluate_oracle(family, args.n, args.bits)
-    import json
-
     payload = {
         "agreement_exponent": value.agreement_exponent,
         "digits": [[exponent, digit] for exponent, digit in value.digits(args.digits)],
@@ -232,7 +230,7 @@ def _cmd_oracle(parser, args) -> tuple[str, int]:
         },
         "target": args.target,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n", 0
+    return _json(payload), 0
 
 
 def _cmd_recurrence(parser, args) -> tuple[str, int]:
@@ -266,9 +264,7 @@ def _cmd_recurrence(parser, args) -> tuple[str, int]:
         degree=reported.degree,
         order=reported.order,
     )
-    import json
-
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n", code
+    return _json(payload), code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,7 +370,3 @@ def main(argv=None) -> int:
         # small table costs.  The collector skips frozen objects, which the
         # operating system reclaims with the process.
         gc.freeze()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,6 +7,8 @@ Conventions, fixed once and used everywhere:
 * Euler numbers are the secant numbers, sech x = sum E_n x^n / n! with
   E_0 = 1, E_2 = -1, E_4 = 5, pinned by L(-2k, chi) = E_{2k}/2 for the odd
   character chi mod 4 (chi(1 mod 4) = 1, chi(3 mod 4) = -1, chi(even) = 0).
+* Every series builder returns exactly prec terms; a prec below 1 is the
+  QSeries constructor's ValueError.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _lambert(constant, term, prec: int) -> QSeries:
     for d in range(1, prec):
         for n in range(d, prec, d):
             coeffs[n] += term(d, n // d)
-    return QSeries(coeffs)
+    return QSeries(coeffs, prec)
 
 
 def series_e(two_k: int, prec: int) -> QSeries:

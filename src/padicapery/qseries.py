@@ -4,7 +4,8 @@ A series of precision N is the jet c_0 + c_1 q + ... + c_{N-1} q^{N-1}, held as
 integer numerators over one positive denominator in lowest terms (1 for an
 integral series), so the ring operations run in integers and are exact; binary
 operations narrow to the smaller precision of the two operands rather than
-padding with fabricated zeros.
+padding with fabricated zeros.  N >= 1: the constructor refuses a smaller
+precision, and the builders here and in eisenstein pass theirs to it.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class QSeries:
 
 def expand_product(eta: tuple[tuple[int, int], ...], prec: int) -> QSeries:
     """Expand the eta quotient prod eta(delta tau)^r over the (delta, r) pairs
-    of eta to the requested precision.
+    of eta to exactly prec terms.
 
     Since eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), the quotient is q^s P with
     s = sum delta r / 24, which must be a whole number >= 0, and
@@ -133,8 +134,6 @@ def expand_product(eta: tuple[tuple[int, int], ...], prec: int) -> QSeries:
     >>> [(n, c) for n, c in enumerate(s.nums) if c]
     [(1, 1), (25, -1), (49, -1), (121, 1), (169, 1)]
     """
-    if prec < 1:
-        raise ValueError("precision must be >= 1")
     if any(delta < 1 or not isinstance(r, int) for delta, r in eta):
         raise ValueError("an eta factor needs delta >= 1 and an integer exponent")
     power, rest = divmod(sum(delta * r for delta, r in eta), 24)

@@ -821,11 +821,14 @@ def test_help_text_is_pinned(command, capsys, monkeypatch):
         ({}, "certify --case catalan-p2 -n 0", "-n must be positive"),
         ({}, "recurrence verify --case zeta-p2 -k 3",
          "zeta-p2:k=3 has no built-in recurrence"),
+        ({}, "sequences --case zeta-p2 -k 0", "k must be >= 1"),
+        ({}, "sequences --case catalan-p2 -k 2", "the Catalan case has no weight parameter"),
+        ({}, "series --form f --weight 2", "weight must be odd and >= 1, got 2"),
     ],
     ids=[
         "old-cap-variable-ignored", "fit-n10", "weight-34", "series-case-p-weight",
         "series-case-weight", "f-prime-weight", "certify-n-negative", "certify-n-0",
-        "recurrence-k3",
+        "recurrence-k3", "k-0", "catalan-k2", "f-even-weight",
     ],
 )
 def test_usage_errors_exit_two_without_traceback(env, argv, message):

@@ -297,6 +297,27 @@ def test_series_evil_small_weight_rejected():
         series_evil(2, 2, 8)
 
 
+BUILDERS = {
+    "series_e": lambda prec: series_e(4, prec),
+    "series_e_star": lambda prec: series_e_star(2, 2, prec),
+    "series_e_prime": lambda prec: series_e_prime(3, 2, prec),
+    "series_evil": lambda prec: series_evil(2, 4, prec),
+    "series_f": lambda prec: series_f(3, prec),
+    "series_f_prime": series_f_prime,
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builders_return_exactly_prec_terms_or_refuse(builder):
+    """Each builder passes prec to the QSeries constructor: exactly prec
+    terms, and a precision below 1 is refused."""
+    for prec in (1, 2, 7):
+        assert BUILDERS[builder](prec).prec == prec
+    for prec in (0, -5):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            BUILDERS[builder](prec)
+
+
 def test_evil_four_two_known_coefficients():
     evil = series_evil(2, 4, 6)
     assert [evil[n] for n in range(6)] == [0, 1, 8, 28, 64, 126]

@@ -52,6 +52,19 @@ def test_reexpand_identity_map():
     assert reexpand(h, f, 4) == [(3,), (5,), (7,), (11,)]
 
 
+def test_reexpand_count_stays_within_the_precision():
+    h = QSeries.one(4)
+    f = QSeries([0, 1], 5)
+    for count in (0, 5):
+        with pytest.raises(ValueError, match="count must be within the available precision"):
+            reexpand(h, f, count)
+
+
+def test_sequences_refuses_a_count_below_one():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sequences(catalog("zeta-p2"), 0)
+
+
 def test_reexpand_requires_normalized_uniformizer():
     h = QSeries.one(4)
     with pytest.raises(ValueError):

@@ -84,6 +84,14 @@ def test_agreement_check_uses_the_weaker_exponent():
         oracle._require_agreement(c, a)
 
 
+def test_exact_hit_claims_the_target_plus_its_margin():
+    """Constant nodes make every Newton difference zero, an exact hit, which
+    is clamped to target + _EXACT_HIT_MARGIN rather than infinity."""
+    value = oracle._interpolated_limit(lambda m: Fraction(3, 7), 2, 4, 1, 40)
+    assert value.representative == Fraction(3, 7)
+    assert value.agreement_exponent == 40 + oracle._EXACT_HIT_MARGIN == 104
+
+
 def test_nodes_use_correct_zeta_values():
     """Spot-check one interpolation node against a hand value."""
     assert zeta_star(2, 14) == Fraction(8191, 12)

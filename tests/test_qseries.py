@@ -26,6 +26,31 @@ def test_constructors_and_indexing():
     assert QSeries([], 3).prec == 3
 
 
+def test_constructor_refuses_no_terms():
+    with pytest.raises(ValueError, match="at least its constant term"):
+        QSeries([])
+    for prec in (0, -1):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            QSeries([1], prec)
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative powers"):
+        QSeries([1, 1]) ** -1
+
+
+def test_equality_with_a_non_series_is_false():
+    """__eq__ returns NotImplemented, so Python falls back to identity."""
+    assert QSeries([1, 2]).__eq__(3) is NotImplemented
+    assert (QSeries([1, 2]) == 3) is False
+    assert QSeries([3]) != 3
+
+
+def test_repr_lists_the_nonzero_terms():
+    assert repr(QSeries([Fraction(1, 2), 0, 3])) == "QSeries(1/2*q^0 + 3*q^2 + O(q^3))"
+    assert repr(QSeries([0, 0])) == "QSeries(0 + O(q^2))"
+
+
 def test_jets_are_unhashable():
     """Equality ignores precision beyond the shorter jet, so no hash can agree."""
     assert QSeries([1, 2]) == QSeries([1, 2, 3])

@@ -42,6 +42,17 @@ def test_spec_validation():
         RecurrenceSpec(((0, 0), (1,)))
     with pytest.raises(ValueError):
         RecurrenceSpec(())
+    with pytest.raises(ValueError, match="empty coefficient polynomial"):
+        RecurrenceSpec(((1,), ()))
+
+
+def test_verify_rejects_rows_outside_the_sequence(catalan_table):
+    b = catalan_table.b
+    with pytest.raises(ValueError, match="start must be at least order - 1"):
+        verify_recurrence(CATALAN_P2, b, 0, 5)
+    with pytest.raises(ValueError, match="end \\+ 1 must be inside the sequence"):
+        verify_recurrence(CATALAN_P2, b, 1, len(b) - 1)
+    assert verify_recurrence(CATALAN_P2, b, 1, len(b) - 2) == []
 
 
 def test_b_sequence_satisfies_recurrence(catalan_table):
@@ -297,3 +308,16 @@ def test_fit_rejects_impossible_relation():
 def test_fit_needs_enough_data():
     with pytest.raises(ValueError):
         fit_recurrence([1, 2, 3], 2, 2)
+
+
+@pytest.mark.parametrize("order, degree", [(0, 0), (1, -1)])
+def test_fit_rejects_order_below_one_or_negative_degree(order, degree):
+    with pytest.raises(ValueError, match="order must be >= 1 and degree >= 0"):
+        fit_recurrence([2**n for n in range(12)], order, degree)
+
+
+def test_fit_refuses_a_vanishing_leading_polynomial():
+    """The one order-2 relation that fits 1, 2, 4, ..., 1024, 12345 is
+    u_n - 2 u_(n-1) = 0, whose coefficient of u_(n+1) is zero."""
+    with pytest.raises(ValueError, match="leading polynomial vanishes; reduce the order"):
+        fit_recurrence([2**n for n in range(11)] + [12345], 2, 0)
