@@ -14,9 +14,10 @@ prefix in integers with ``extend_integers``; ``recurrence verify`` makes
 the same call on tables built by re-expansion alone.
 
 ``fit_recurrence`` recovers such a relation from raw values, integers (b)
-or Fractions (a), by fraction-free elimination in integers, and refuses
-when it is not unique up to scale.  A fitted spec proves nothing by itself,
-but verifying it on rows not used in the fit is a strong structural check.
+or Fractions (a), by cutting its solution space down one equation at a
+time in integers, and refuses when it is not unique up to scale.  A fitted
+spec proves nothing by itself, but verifying it on rows not used in the fit
+is a strong structural check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 CoeffPoly = tuple[int, ...]
 
@@ -164,44 +165,31 @@ def extend_integers(
     return out
 
 
-def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
+def _kernel(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
     """Primitive integer basis of the solutions of rows * x = 0.
 
-    Fraction-free Gauss-Jordan elimination, after Bareiss (Math. Comp. 22,
-    1968): a row is cleared against the pivot row by cross-multiplication,
-    then divided by its content (the gcd of its entries) in place of
-    Bareiss's exact divisor, so every entry stays a small integer.
+    Fraction-free, one row at a time, from the unit vectors: a row that some
+    basis vector fails removes the first such vector, and every other vector
+    that fails it is replaced by its cross-multiplied combination with the
+    removed one that satisfies the row, divided by its content (the gcd of
+    its entries), so every entry stays a small integer.  Rows are read only
+    while the basis is not empty.
     """
-    matrix = [row[:] for row in rows]
-    pivots: list[int] = []
-    for col in range(width):
-        rank = len(pivots)
-        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot_row is None:
+    basis = [[int(i == j) for j in range(width)] for i in range(width)]
+    for row in rows:
+        values = [sum(map(mul, row, vector)) for vector in basis]
+        pivot = next((i for i, value in enumerate(values) if value), None)
+        if pivot is None:
             continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank]
-        for r, row in enumerate(matrix):
-            if r != rank and row[col]:
-                g = gcd(pivot[col], row[col])
-                lead, factor = pivot[col] // g, row[col] // g
-                row = [lead * entry - factor * above for entry, above in zip(row, pivot)]
-                content = gcd(*row) or 1
-                matrix[r] = [entry // content for entry in row]
-        pivots.append(col)
-        if len(pivots) == len(matrix):
+        removed, lead = basis.pop(pivot), values.pop(pivot)
+        for i, value in enumerate(values):
+            if value:
+                g = gcd(lead, value)
+                vector = [lead // g * x - value // g * y for x, y in zip(basis[i], removed)]
+                content = gcd(*vector)
+                basis[i] = [entry // content for entry in vector]
+        if not basis:
             break
-    scale = lcm(*(matrix[i][col] for i, col in enumerate(pivots)))
-    basis = []
-    for free_col in range(width):
-        if free_col in pivots:
-            continue
-        vector = [0] * width
-        vector[free_col] = scale
-        for i, col in enumerate(pivots):
-            vector[col] = -matrix[i][free_col] * (scale // matrix[i][col])
-        content = gcd(*vector)
-        basis.append([entry // content for entry in vector])
     return basis
 
 
@@ -216,14 +204,12 @@ def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
 
     Every relation index n = order .. len(seq) - 2 gives an equation, in integers
     once scaled by the lcm of its denominators; the first, at n = order, reaches
-    back to seq[1], never seq[0].  The first fit_length(order, degree) equations
-    are eliminated; a solution space of dimension at most 1 there is kept only
-    where it vanishes on the rest, and a larger one is recomputed over every
-    equation, so the result is that of eliminating over all of them.  Raises
-    ValueError on fewer than fit_length(order, degree) values, when no nonzero
-    relation exists, when it is not unique up to scale (it times a factor of
-    lower degree fits too; lower the degree), or when its leading polynomial
-    vanishes identically (the true order is smaller; refit with it).
+    back to seq[1], never seq[0].  _kernel reads them one at a time and stops
+    once no solution is left.  Raises ValueError on fewer than
+    fit_length(order, degree) values, when no nonzero relation exists, when it
+    is not unique up to scale (it times a factor of lower degree fits too; lower
+    the degree), or when its leading polynomial vanishes identically (the true
+    order is smaller; refit with it).
     """
     if order < 1 or degree < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -231,21 +217,15 @@ def fit_recurrence(seq: Sequence, order: int, degree: int) -> RecurrenceSpec:
     known = fit_length(order, degree)
     if len(seq) < known:
         raise ValueError(f"not enough sequence values for this order and degree (need {known})")
-    equations = []
-    for n in range(order, len(seq) - 1):
-        terms = [seq[n + 1 - i] for i in range(order + 1)]
-        den = lcm(*(u.denominator for u in terms))
-        scaled = [u.numerator * (den // u.denominator) for u in terms]
-        equations.append([c * n**power for c in scaled for power in range(degree + 1)])
-    basis = _kernel(equations[:known], width)
-    if len(basis) > 1:
-        basis = _kernel(equations, width)
-    else:
-        basis = [
-            vector
-            for vector in basis
-            if not any(sum(map(mul, row, vector)) for row in equations[known:])
-        ]
+
+    def equations():
+        for n in range(order, len(seq) - 1):
+            terms = [seq[n + 1 - i] for i in range(order + 1)]
+            den = lcm(*(u.denominator for u in terms))
+            scaled = [u.numerator * (den // u.denominator) for u in terms]
+            yield [c * n**power for c in scaled for power in range(degree + 1)]
+
+    basis = _kernel(equations(), width)
     if not basis:
         raise ValueError("no recurrence of this order and degree fits")
     if len(basis) > 1:

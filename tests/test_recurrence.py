@@ -133,6 +133,42 @@ def test_leading_polynomial_is_nonzero_below_the_cap(family, k):
     assert all(spec.poly_value(0, n) != 0 for n in range(256))
 
 
+# W_1 = a_1 b_2 - a_2 b_1 for each order-2 relation.
+CASORATI_AT_ONE = {
+    ("zeta-p2", 1): -576,
+    ("zeta-p2", 2): -57600,
+    ("zeta-p3", 1): Fraction(-243, 2),
+    ("catalan-p2", 1): 16,
+}
+
+
+def _integer_roots(spec, i):
+    """The integer roots of P_i: by the rational root theorem, 0 or divisors
+    of its lowest nonzero coefficient."""
+    low = abs(next(c for c in spec.coeff_polys[i] if c))
+    divisors = [d for d in range(1, low + 1) if low % d == 0]
+    return {n for n in [0, *divisors, *(-d for d in divisors)] if spec.poly_value(i, n) == 0}
+
+
+@pytest.mark.parametrize(
+    "family,k", [(f, k) for f, k in BUILTIN_CASES if FAMILY_TABLE[f].recurrence[k].order == 2]
+)
+def test_consecutive_rows_stay_independent(family, k):
+    """W_n = a_n b_(n+1) - a_(n+1) b_n is nonzero for every n >= 1.  Both
+    columns obey the relation from n = 2 on, so P_0(n) W_n = P_2(n) W_(n-1)
+    there; P_0 has no integer root but -1 and P_2 none but 1, so W_n != 0
+    follows from W_1 != 0 by induction."""
+    spec = FAMILY_TABLE[family].recurrence[k]
+    assert (_integer_roots(spec, 0), _integer_roots(spec, 2)) == ({-1}, {1})
+    table = sequences(catalog(family, k), 256)
+    a, b = table.a, table.b
+    w = [a[n] * b[n + 1] - a[n + 1] * b[n] for n in range(255)]
+    assert w[1] == CASORATI_AT_ONE[family, k]
+    for n in range(2, 255):
+        assert spec.poly_value(0, n) * w[n] == spec.poly_value(2, n) * w[n - 1]
+    assert all(w)
+
+
 def test_fit_recovers_catalan_recurrence(catalan_table):
     fitted = fit_recurrence(list(catalan_table.b), 2, 2)
     assert fitted == CATALAN_P2
@@ -155,10 +191,10 @@ def _rank(rows, width):
 
 
 @given(
-    st.integers(1, 6).flatmap(
+    st.integers(1, 9).flatmap(
         lambda width: st.tuples(
             st.just(width),
-            st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width), max_size=7),
+            st.lists(st.lists(st.integers(-50, 50), min_size=width, max_size=width), max_size=14),
         )
     )
 )
@@ -172,6 +208,14 @@ def test_kernel_is_a_primitive_basis(case):
         assert all(sum(map(mul, row, vector)) == 0 for row in rows)
 
 
+def test_kernel_reads_rows_only_while_the_basis_is_not_empty():
+    def rows():
+        yield from ([0, 2, 0], [0, 0, 0], [0, 4, 6], [1, 1, 1])
+        raise AssertionError("a row was read after the basis emptied")
+
+    assert recurrence._kernel(rows(), 3) == []
+
+
 def _integer_rows(seq, order, degree, stop):
     """The equations of relation indices order .. stop - 1, each times the
     lcm of its denominators."""
@@ -183,15 +227,13 @@ def _integer_rows(seq, order, degree, stop):
     return rows
 
 
-def _fit_over_every_row(seq, order, degree):
-    """fit_recurrence by elimination over every equation at once."""
-    width = (order + 1) * (degree + 1)
-    basis = recurrence._kernel(_integer_rows(seq, order, degree, len(seq) - 1), width)
-    if len(basis) != 1 or not any(basis[0][: degree + 1]):
-        raise ValueError("no unique relation with a nonzero leading polynomial")
-    polys = [tuple(basis[0][i : i + degree + 1]) for i in range(0, width, degree + 1)]
-    sign = 1 if next(c for c in reversed(polys[0]) if c) > 0 else -1
-    return RecurrenceSpec(tuple(tuple(sign * c for c in poly) for poly in polys))
+def _spans_the_solutions(spec, seq):
+    """Whether spec's coefficients solve every equation of seq, and every
+    solution is a multiple of them: the equations have rank width - 1."""
+    width = (spec.order + 1) * (spec.degree + 1)
+    rows = _integer_rows(seq, spec.order, spec.degree, len(seq) - 1)
+    vector = [c for poly in spec.coeff_polys for c in poly]
+    return _rank(rows, width) == width - 1 and not any(sum(map(mul, row, vector)) for row in rows)
 
 
 @functools.cache
@@ -204,7 +246,7 @@ def test_fit_equals_elimination_over_every_row(family, k):
     spec = FAMILY_TABLE[family].recurrence[k]
     b_list = _b_column(family, k)
     assert fit_recurrence(b_list, spec.order, spec.degree) == spec
-    assert _fit_over_every_row(b_list, spec.order, spec.degree) == spec
+    assert _spans_the_solutions(spec, b_list)
 
 
 @pytest.mark.parametrize("family,k", BUILTIN_CASES)
@@ -243,14 +285,12 @@ def test_fit_reproduces_the_recorded_fits():
 def test_fit_equals_elimination_over_every_row_past_a_plane(seq, order, degree):
     width = (order + 1) * (degree + 1)
     equations = _integer_rows(seq, order, degree, width + 2 * order + 1)
-    assert len(recurrence._kernel(equations, width)) >= 2
-    try:
-        expected = _fit_over_every_row(seq, order, degree)
-    except ValueError:
+    assert _rank(equations, width) <= width - 2
+    if _rank(_integer_rows(seq, order, degree, len(seq) - 1), width) != width - 1:
         with pytest.raises(ValueError):
             fit_recurrence(seq, order, degree)
     else:
-        assert fit_recurrence(seq, order, degree) == expected
+        assert _spans_the_solutions(fit_recurrence(seq, order, degree), seq)
 
 
 def test_fit_refuses_a_plane_of_relations():
