@@ -59,7 +59,7 @@ _FORMS = {
 # -k 2` about 0.7 s, mostly re-expansion: its 253 equations in 33 unknowns cut
 # the solutions, fraction-free in integers, one equation at a time (50 ms).
 # `series --form e-prime --p 65521 --weight 32 --prec 256` takes 0.1 s, as at
-# p = 2; checking p by trial division takes 15 us there, over 20 s at 10**18.
+# p = 2; checking p by trial division takes 10 us there, about a minute at 10**18.
 _MAX_BITS = 2048
 _MAX_INDEX = 16
 _MAX_PRIME = 2**16

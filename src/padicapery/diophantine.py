@@ -44,7 +44,7 @@ class Certificate(NamedTuple):
 
     ``valuation_gap`` is vp(eta - sign * p_n/q_n) clamped at the oracle's
     agreement exponent; ``certified`` records whether the clamp was
-    inactive.  ``passed`` is None for uncertified rows.
+    inactive; the report's verdict reads only these and ``log_max_size``.
     """
 
     n: int
@@ -55,7 +55,6 @@ class Certificate(NamedTuple):
     implied_exponent: float
     oracle_exponent: int
     certified: bool
-    passed: bool | None
 
 
 class CertificationReport(NamedTuple):
@@ -100,8 +99,7 @@ def criterion_check(
         if table.b[n] == 0:
             continue
         ratio = table.ratio(n)
-        height = max(abs(ratio.numerator), ratio.denominator)
-        log_max = log_size(height)
+        log_max = log_size(max(abs(ratio.numerator), ratio.denominator))
         gap = vp(eta.representative - sign * ratio, p)
         certified = gap < exponent
         clamped = int(min(gap, exponent))
@@ -109,9 +107,6 @@ def criterion_check(
             implied = clamped * math.log(p) / log_max
         else:
             implied = math.inf if clamped > 0 else 0.0
-        passed = None
-        if certified:
-            passed = height > 1 and clamped * math.log(p) >= THETA_REQUIRED * log_max
         certificates.append(
             Certificate(
                 n=n,
@@ -122,17 +117,18 @@ def criterion_check(
                 implied_exponent=implied,
                 oracle_exponent=exponent,
                 certified=certified,
-                passed=passed,
             )
         )
+    passes = [
+        c.log_max_size > 0 and c.valuation_gap * math.log(p) >= THETA_REQUIRED * c.log_max_size
+        for c in certificates if c.certified
+    ]
     if asymptotic < THETA_REQUIRED:
         verdict = "WITNESS_FAIL"
-    elif not any(cert.certified for cert in certificates):
+    elif not passes:
         verdict = "UNCERTIFIED"
-    elif all(cert.passed for cert in certificates if cert.certified):
-        verdict = "WITNESS_PASS"
     else:
-        verdict = "WITNESS_FAIL"
+        verdict = "WITNESS_PASS" if all(passes) else "WITNESS_FAIL"
     return CertificationReport(
         case_id=config.case_id,
         theta_closed=asymptotic,

@@ -1,8 +1,7 @@
-"""Exact rational plumbing: p-adic valuations, digit expansions, size helpers.
+"""Exact number helpers: primality, p-adic valuations and digits, log sizes.
 
-Rationals are carried by `fractions.Fraction` throughout the package; it
-normalises on construction (reduced form, positive denominator, 0 == 0/1),
-which is exactly the representation contract the rest of the code relies on.
+Valuations and digits take a rational as an int or a `fractions.Fraction` and
+work in integers on its reduced numerator and denominator.
 """
 
 from __future__ import annotations
@@ -24,18 +23,7 @@ INFINITY = math.inf
 
 def is_prime(p: int) -> bool:
     """Trial-division primality check; the moduli used here are tiny."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
 def _require_prime(p: int) -> None:

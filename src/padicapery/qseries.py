@@ -86,6 +86,8 @@ class QSeries:
         if isinstance(other, (int, Fraction)):
             c = other.numerator
             return QSeries([a * c for a in self.nums], den=self.den * other.denominator)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         # Integer convolution over the product of the two denominators.
         n = min(self.prec, other.prec)
         out = [0] * n

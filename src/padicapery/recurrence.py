@@ -99,17 +99,15 @@ ZETA_P5 = RecurrenceSpec(
 
 
 def verify_recurrence(
-    spec: RecurrenceSpec, seq: Sequence, start: int, end: int
+    spec: RecurrenceSpec, seq: Sequence, start: int
 ) -> list[tuple[int, Fraction]]:
     """The residuals, the left-hand side of the relation at n, that fail to
-    vanish for n in [start, end].  Each is summed in integers over the common
-    denominator of its terms, which are integers or Fractions."""
+    vanish for n = start .. len(seq) - 2.  Each is summed in integers over the
+    common denominator of its terms, which are integers or Fractions."""
     if start < spec.order - 1:
         raise ValueError("start must be at least order - 1")
-    if end + 1 >= len(seq):
-        raise ValueError("end + 1 must be inside the sequence")
     violations = []
-    for n in range(start, end + 1):
+    for n in range(start, len(seq) - 1):
         terms = [(spec.poly_value(i, n), seq[n + 1 - i]) for i in range(spec.order + 1)]
         den = lcm(*(u.denominator for _, u in terms))
         value = sum(c * u.numerator * (den // u.denominator) for c, u in terms)
@@ -129,7 +127,7 @@ def column_violations(
     touches it.
     """
     return {
-        column: (start, verify_recurrence(spec, seq, start, len(seq) - 2))
+        column: (start, verify_recurrence(spec, seq, start))
         for column, seq, start in (("b", b_list, spec.order - 1), ("a", a_list, spec.order))
     }
 
@@ -195,7 +193,10 @@ def _kernel(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
 
 def fit_length(order: int, degree: int) -> int:
     """How many values give fit_recurrence one equation per unknown; seq[0] is
-    counted only so that seq[n] is u_n, since no equation reads it."""
+    counted only so that seq[n] is u_n, since no equation reads it.  The one
+    relation that would, at n = order - 1, is left out: an a-column's seed
+    breaks it, and every built-in P_order vanishes there, so a b-column fit that
+    kept it returns the same relation even with b[0] shifted by 12345."""
     return (order + 1) * (degree + 1) + order + 1
 
 

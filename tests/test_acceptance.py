@@ -97,8 +97,8 @@ def test_acceptance_3_theta_constants():
 def test_acceptance_4_recurrence(tables):
     table = tables[("catalan-p2", 1)]
     spec = CATALAN_P2
-    assert verify_recurrence(spec, list(table.b), 2, 24) == []
-    assert verify_recurrence(spec, list(table.a), 2, 24) == []
+    assert verify_recurrence(spec, list(table.b), 2) == []
+    assert verify_recurrence(spec, list(table.a), 2) == []
     assert fit_recurrence(list(table.b), 2, 2) == spec
     print("ACCEPTANCE 4: PASS (order-2 recurrence verified on [2,24], refit)")
 

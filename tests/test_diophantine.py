@@ -175,7 +175,6 @@ def test_criterion_passes_for_zeta_p2():
     assert report.certified_rows >= 2
     for cert in report.certificates:
         if cert.certified:
-            assert cert.passed
             assert cert.valuation_gap < eta.agreement_exponent
             assert cert.implied_exponent > THETA_REQUIRED
 
@@ -219,14 +218,19 @@ def test_criterion_exact_probe_is_uncertified():
 
 
 def test_a_row_of_height_one_never_passes():
-    """zeta-p5 row 0 is p/q = 0/1, of height 1, at gap 0: 0 * log 5 >=
-    1.01 * 0 holds, yet the row bounds nothing, so it is certified and fails."""
-    table = sequences(catalog("zeta-p5"), 4)
-    report = criterion_check(table, zeta_p_oracle(5, 1, 40), window=(0, 1))
-    row = report.certificates[0]
-    assert (row.n, row.p_n, row.q_n, row.valuation_gap) == (0, 0, 1, 0)
+    """A row p/q = 0/1, as zeta-p5 row 0 is, has height 1 and log size 0.0:
+    at gap 0, 0 * log 2 >= 1.01 * 0 holds, yet the row bounds nothing, so a
+    window of that certified row alone fails in a case whose closed-form
+    exponent reaches THETA_REQUIRED."""
+    assert sequences(catalog("zeta-p5"), 4).ratio(0) == 0
+    config = catalog("zeta-p2")
+    assert theta_closed(config) >= THETA_REQUIRED
+    table = SequenceTable(config, (Fraction(0),), (1,))
+    report = criterion_check(table, PadicValue(Fraction(1), 40, 2), window=(0, 0))
+    (row,) = report.certificates
+    assert (row.p_n, row.q_n, row.valuation_gap, row.log_max_size) == (0, 1, 0, 0.0)
     assert row.certified
-    assert row.passed is False
+    assert report.verdict == "WITNESS_FAIL"
 
 
 def test_zeta_p5_rows_certify_at_the_prototype_gaps():
@@ -261,7 +265,6 @@ def test_a_row_passes_exactly_at_the_required_exponent(offset, passes):
     (cert,) = report.certificates
     assert cert.certified and cert.valuation_gap == gap
     assert math.isclose(cert.implied_exponent, target, rel_tol=1e-9)
-    assert cert.passed is passes
     assert report.verdict == ("WITNESS_PASS" if passes else "WITNESS_FAIL")
 
 

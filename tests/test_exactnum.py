@@ -30,6 +30,17 @@ def test_is_prime_small_values():
     assert not is_prime(-3)
 
 
+def test_is_prime_matches_a_sieve():
+    """Over 0..2**16, the cap on --p, trial division agrees with the sieve of
+    Eratosthenes."""
+    limit = 2**16
+    sieve = [False, False] + [True] * (limit - 1)
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = [False] * len(sieve[f * f :: f])
+    assert [is_prime(n) for n in range(limit + 1)] == sieve
+
+
 def test_vp_basic():
     assert vp(12, 2) == 2
     assert vp(12, 3) == 1

@@ -68,6 +68,16 @@ def test_add_takes_series_only():
                 op()
 
 
+def test_mul_takes_series_and_exact_scalars_only():
+    """An int or a Fraction scales every coefficient; any other operand, on
+    either side, is refused with TypeError rather than read as a series."""
+    s = QSeries([1, 2])
+    assert (s * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1) == (Fraction(1, 2) * s).coeffs
+    for op in (lambda: s * 1.5, lambda: 1.5 * s, lambda: s * "x", lambda: "x" * s):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_mul_truncates_to_min_precision():
     a = QSeries([1, 1, 1, 1, 1])
     b = QSeries([1, -1])

@@ -49,19 +49,18 @@ def test_spec_validation():
 def test_verify_rejects_rows_outside_the_sequence(catalan_table):
     b = catalan_table.b
     with pytest.raises(ValueError, match="start must be at least order - 1"):
-        verify_recurrence(CATALAN_P2, b, 0, 5)
-    with pytest.raises(ValueError, match="end \\+ 1 must be inside the sequence"):
-        verify_recurrence(CATALAN_P2, b, 1, len(b) - 1)
-    assert verify_recurrence(CATALAN_P2, b, 1, len(b) - 2) == []
+        verify_recurrence(CATALAN_P2, b, 0)
+    assert verify_recurrence(CATALAN_P2, b, 1) == []
+    assert verify_recurrence(CATALAN_P2, b[:2], 1) == []
 
 
 def test_b_sequence_satisfies_recurrence(catalan_table):
-    violations = verify_recurrence(CATALAN_P2, list(catalan_table.b), 1, 24)
+    violations = verify_recurrence(CATALAN_P2, list(catalan_table.b), 1)
     assert violations == []
 
 
 def test_a_sequence_satisfies_recurrence_from_two(catalan_table):
-    violations = verify_recurrence(CATALAN_P2, list(catalan_table.a), 2, 24)
+    violations = verify_recurrence(CATALAN_P2, list(catalan_table.a), 2)
     assert violations == []
 
 
@@ -69,8 +68,8 @@ def test_a_sequence_breaks_at_one(catalan_table):
     """The a-seed fails the single relation involving n = 1 while the b-seed
     satisfies it, exactly as the seed conditions predict."""
     spec = CATALAN_P2
-    assert verify_recurrence(spec, list(catalan_table.b), 1, 1) == []
-    assert verify_recurrence(spec, list(catalan_table.a), 1, 1) == [(1, 16)]
+    assert verify_recurrence(spec, catalan_table.b[:3], 1) == []
+    assert verify_recurrence(spec, catalan_table.a[:3], 1) == [(1, 16)]
 
 
 def test_extend_integers_reproduces_tables(catalan_table):
@@ -94,7 +93,7 @@ def test_prefix_residual_names_its_row(capsys, monkeypatch):
     spec = CATALAN_P2
     d = math.prod(spec.poly_value(0, n) for n in range(5, 11))
     bump = extend_integers(spec, [0] * 5 + [d], 12)
-    assert verify_recurrence(spec, bump, 1, 10) == [(4, spec.poly_value(0, 4) * d)]
+    assert verify_recurrence(spec, bump, 1) == [(4, spec.poly_value(0, 4) * d)]
 
     def bumped(config, count):
         table = reexpanded_columns(config, count)
