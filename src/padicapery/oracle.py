@@ -45,14 +45,13 @@ oracle raises ``OracleInconsistency`` too.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Callable, NamedTuple
 
 # eisenstein.bernoulli is looked up per call, so a wrapper installed on the
 # module (such as perfbench's tracer) sees the series' indices too.
 from . import eisenstein
 from .eisenstein import chi4, l_chi4_neg, zeta_star
-from .exactnum import INFINITY, _int_valuation, _require_prime, padic_digits, vp
+from .exactnum import INFINITY, _require_prime, padic_digits, vp
 
 # Digits certified beyond the request.  A row is certified only while its
 # valuation gap is below the oracle's exponent, and at 40 digits some rows of
@@ -112,12 +111,6 @@ def _node_spacing(p: int, n: int) -> int:
     return spacing
 
 
-def _clamp(exponent, target: int) -> int:
-    if exponent == INFINITY:
-        return target + _EXACT_HIT_MARGIN
-    return int(exponent)
-
-
 def _interpolated_limit(
     g: Callable[[int], Fraction], p: int, spacing: int, n: int, target: int
 ) -> PadicValue:
@@ -127,37 +120,27 @@ def _interpolated_limit(
     stabilised to the lesser valuation of the last two increments.  Returns
     the first sum, from node _MIN_POINTS on, stabilised to ``target``, with its
     exponent; if _MAX_POINTS nodes do not get there, raises OracleInconsistency
-    naming the most digits any node reached.  The differences and the sum are
-    integer numerators over ``den``, the lcm of the node denominators so far,
-    so an increment's valuation is its numerator's less ``vp(den)``.
+    naming the most digits any node reached.
     """
-    diagonal: list[int] = []
-    den = 1
-    den_valuation = 0
-    total = 0
-    sign = 1
+    diagonal: list[Fraction] = []
+    total = Fraction(0)
     last = INFINITY
     reached = -INFINITY
     for j in range(_MAX_POINTS):
-        value = g(spacing * (j + 1) - 2 * n)
-        scale = value.denominator // gcd(den, value.denominator)
-        if scale > 1:
-            den *= scale
-            den_valuation = _int_valuation(den, p)
-            diagonal = [entry * scale for entry in diagonal]
-            total *= scale
-        new_diagonal = [value.numerator * (den // value.denominator)]
+        # delta^k g(j - k) for k = 0..j, from the previous diagonal.
+        new_diagonal = [g(spacing * (j + 1) - 2 * n)]
         for previous in diagonal:
             new_diagonal.append(new_diagonal[-1] - previous)
         diagonal = new_diagonal
-        term = sign * diagonal[-1]
+        term = (-1) ** j * diagonal[-1]
         total += term
-        sign = -sign
-        increment = _int_valuation(term, p) - den_valuation if term else INFINITY
+        increment = vp(term, p)
         if j + 1 >= _MIN_POINTS:
-            stabilized = _clamp(min(last, increment), target)
+            stabilized = min(last, increment)
+            if stabilized == INFINITY:
+                stabilized = target + _EXACT_HIT_MARGIN
             if stabilized >= target:
-                return PadicValue(Fraction(total, den), stabilized, p)
+                return PadicValue(total, stabilized, p)
             reached = max(reached, stabilized)
         last = increment
     raise OracleInconsistency(f"Newton cross-check reached {reached} of {target} digits")

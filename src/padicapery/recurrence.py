@@ -100,25 +100,22 @@ ZETA_P5 = RecurrenceSpec(
 
 def verify_recurrence(
     spec: RecurrenceSpec, seq: Sequence, start: int
-) -> list[tuple[int, Fraction]]:
+) -> list[tuple[int, Fraction | int]]:
     """The residuals, the left-hand side of the relation at n, that fail to
-    vanish for n = start .. len(seq) - 2.  Each is summed in integers over the
-    common denominator of its terms, which are integers or Fractions."""
+    vanish for n = start .. len(seq) - 2, exact for int and Fraction values."""
     if start < spec.order - 1:
         raise ValueError("start must be at least order - 1")
     violations = []
     for n in range(start, len(seq) - 1):
-        terms = [(spec.poly_value(i, n), seq[n + 1 - i]) for i in range(spec.order + 1)]
-        den = lcm(*(u.denominator for _, u in terms))
-        value = sum(c * u.numerator * (den // u.denominator) for c, u in terms)
+        value = sum(spec.poly_value(i, n) * seq[n + 1 - i] for i in range(spec.order + 1))
         if value:
-            violations.append((n, Fraction(value, den)))
+            violations.append((n, value))
     return violations
 
 
 def column_violations(
     spec: RecurrenceSpec, b_list: Sequence, a_list: Sequence
-) -> dict[str, tuple[int, list[tuple[int, Fraction]]]]:
+) -> dict[str, tuple[int, list[tuple[int, Fraction | int]]]]:
     """Check a case's relation on both columns of its table, through
     n = len - 2: {"b": (start, violations), "a": (start, violations)}.
 

@@ -119,7 +119,7 @@ def test_stride_exponent(p, n, t):
     assert oracle._node_spacing(p, n) == (p - 1) * p**t
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 16])
+@pytest.mark.parametrize("n", range(1, 17))
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_zeta_nodes_reach_40_digits(p, n):
     """The oracle's nodes, (s - 1) zeta_p(s) at s = 1 - m over its s - 1 = 2n
@@ -174,7 +174,7 @@ def reference_interpolated_limit(g, p, spacing, n, target):
         (2, lambda m: -m * zeta_star(2, m) / 32, 64, 16, 40),
     ],
 )
-def test_integer_differences_match_a_fraction_reference(p, g, spacing, n, target):
+def test_running_differences_match_a_binomial_sum_reference(p, g, spacing, n, target):
     newton = oracle._interpolated_limit(g, p, spacing, n, target)
     exponent, representative = reference_interpolated_limit(g, p, spacing, n, target)
     assert newton.agreement_exponent == exponent
