@@ -49,14 +49,14 @@ _FORMS = {
     "f-prime": (False, False, lambda p, weight, prec: series_f_prime(prec)),
 }
 # Caps on the size arguments.  The slowest op inside all of them is `certify
-# --case zeta-p5 -k 10 -n 256 --window 3 255 --bits 2048`, about 4 s in a fresh
-# process on a 2-vCPU Xeon (3.5-4 s at k = 13 and k = 16): the two p = 5 series
-# at 2048 digits (at F = 25 and F = 125) take about 2.3 s, the table 1.1 s and
-# the Newton check at n = 10 (M = 100, nodes to weight 1580) 0.35 s.  Terms
-# cost less: at 256 of them, `certify --case zeta-p2 -k 16 --window 3 255
-# --bits 2048` and `sequences --case zeta-p2 -k 16` take about 1.8 s, both by
+# --case zeta-p5 -k 10 -n 256 --window 3 255 --bits 2048`, 2.5-3.3 s in fresh
+# processes on a 2-vCPU Xeon (2.7-3.4 s at k = 13 and k = 16): the two p = 5
+# series at 2048 digits (at F = 25 and F = 125) take about 1.8 s, the table
+# 0.8 s and the Newton check at n = 10 (M = 100, nodes to weight 1580) 0.2 s.
+# Terms cost less: at 256 of them, `certify --case zeta-p2 -k 16 --window 3 255
+# --bits 2048` and `sequences --case zeta-p2 -k 16` take about 1 s, both by
 # re-expansion (k >= 3 has no recurrence), and `recurrence fit --case zeta-p2
-# -k 2` about 0.7 s, mostly re-expansion: its 253 equations in 33 unknowns cut
+# -k 2` about 0.5 s, mostly re-expansion: its 253 equations in 33 unknowns cut
 # the solutions, fraction-free in integers, one equation at a time (50 ms).
 # `series --form e-prime --p 65521 --weight 32 --prec 256` takes 0.1 s, as at
 # p = 2; checking p by trial division takes 10 us there, about a minute at 10**18.

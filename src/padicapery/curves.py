@@ -3,31 +3,33 @@
 Each case family is one frozen record: the prime, the local uniformizer
 f = q + O(q^2) as (delta, r) pairs of its eta quotient prod eta(delta tau)^r
 (the Hauptmodul (eta(N tau)/eta(tau))^(24/(N-1)), with N = p for zeta_p and
-N = 4 for Catalan), its curve (the polynomial Q_p that vanishes where
-theta(f)/f does, and its exponent j), the builders of the weight series and
-its antiderivative that get re-expanded in f, how the weight grows with the
-index k, the sign that reconciles the re-expansion output with the published
-b-list (and so fixes the sign of the limit), the recurrences and the oracle.
-The (v, e) exponents that feed the closed-form witness exponent are read off
-the curve, not stored.  A case is a family at one index k.
+N = 4 for Catalan), the builders of the weight series and its antiderivative
+that get re-expanded in f, how the weight grows with the index k, the sign
+that reconciles the re-expansion output with the published b-list (and so
+fixes the sign of the limit), the recurrences and the oracle.  The curve is
+not stored: the canaries derive it from the eta pairs, and the (v, e)
+exponents that feed the closed-form witness exponent are read off it.  A case
+is a family at one index k.
 
 Two exact q-expansion identities act as canaries for every family: the
 logarithmic derivative G = theta(f)/f must equal a known power of a multiple
-of the weight series, and G^6 (f/Delta) must equal Q_p(f)^j, the genus-zero
-relation of the curve.  run_canaries builds f and the weight series once and
-checks both in one pass; a failure of either aborts the pipeline, since
-nothing downstream is trustworthy then.
+of the weight series, and G^6 (f/Delta) must be Q(f) for a polynomial Q with
+Q(0) = 1, the curve's genus-zero relation (Q = Q_p^j, Q_p vanishing where G
+does: (1 + 64f)^3 for zeta-p2).  run_canaries builds f and the weight series
+once, checks both in one pass and derives Q; a failure of either aborts the
+pipeline, since nothing downstream is trustworthy then.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Callable, Mapping, NamedTuple
 
 from . import eisenstein
 from .eisenstein import series_e_star, series_f
-from .exactnum import vp
-from .qseries import QSeries, expand_product
+from .exactnum import is_prime, vp
+from .qseries import QSeries, expand_product, reexpand
 from .recurrence import CATALAN_P2, ZETA_P2, ZETA_P2_K2, ZETA_P3, ZETA_P5, RecurrenceSpec
 
 __all__ = [
@@ -54,9 +56,9 @@ class Family(NamedTuple):
     weight 2k, its antiderivative, and theta(f)/f = mu E*_2.  The series
     builders take (p, weight, prec) and look their eisenstein function up when
     called; the member of weight `weight_step` (k = 1) is the canary's series.
-    `curve` is (Q_p's coefficients in ascending powers, j): G^6 (f/Delta) =
-    Q_p(f)^j for G = theta(f)/f.  The growth exponents `v` and `e` are read
-    off Q_p.
+    The growth exponents `v` and `e` are read off the curve Q, with
+    G^6 (f/Delta) = Q(f) for G = theta(f)/f, that the canaries derive from
+    `eta`.
     """
 
     name: str
@@ -64,7 +66,6 @@ class Family(NamedTuple):
     eta: tuple[tuple[int, int], ...]  # (delta, r): f = prod eta(delta tau)^r
     oracle: str                 # the CLI's oracle target for the limit
     recurrence: Mapping[int, RecurrenceSpec]  # k -> relation; other k re-expand
-    curve: tuple[tuple[int, ...], int]        # (Q_p ascending, j)
     sign_b: int = 1             # published b-list = sign_b * [f^n](lam * w)
     weight_step: int = 2        # the weight series has weight weight_step * k
     fixed_k: bool = False       # the family has no weight parameter: k = 1
@@ -79,12 +80,13 @@ class Family(NamedTuple):
     def e(self) -> Fraction:
         """Archimedean growth exponent: each relation's characteristic
         polynomial is a power of Q_p reversed (the tests check it), whose roots
-        share one modulus p^e and multiply to Q_p's top coefficient, +-p^(e deg).
+        share one modulus p^e.  So do the roots of the derived curve Q = Q_p^j,
+        whose top coefficient is thus +-p^(e deg Q).
 
         >>> FAMILY_TABLE["zeta-p5"].e
         Fraction(3, 2)
         """
-        coeffs, _ = self.curve
+        coeffs = _canaries(CaseConfig(self, 1))[1]
         return Fraction(vp(coeffs[-1], self.p), len(coeffs) - 1)
 
     @property
@@ -100,23 +102,14 @@ _TABLE = (
     Family(
         "zeta-p2", 2, ((1, -24), (2, 24)),
         oracle="zeta-p2", recurrence={1: ZETA_P2, 2: ZETA_P2_K2},
-        curve=((1, 64), 3),
     ),
-    Family(
-        "zeta-p3", 3, ((1, -12), (3, 12)),
-        oracle="zeta-p3", recurrence={1: ZETA_P3}, curve=((1, 27), 4),
-    ),
-    Family(
-        "zeta-p5", 5, ((1, -6), (5, 6)),
-        oracle="zeta-p5", recurrence={1: ZETA_P5}, curve=((1, 22, 125), 3),
-    ),
+    Family("zeta-p3", 3, ((1, -12), (3, 12)), oracle="zeta-p3", recurrence={1: ZETA_P3}),
+    Family("zeta-p5", 5, ((1, -6), (5, 6)), oracle="zeta-p5", recurrence={1: ZETA_P5}),
     # The published table negates the b-list: its b_0 is -1 while the
     # normalized constant term is +1.
     Family(
         "catalan-p2", 2, ((1, -8), (4, 8)),
-        oracle="catalan",
-        recurrence={1: CATALAN_P2},
-        curve=((1, 16), 5),
+        oracle="catalan", recurrence={1: CATALAN_P2},
         sign_b=-1,
         weight_step=1,
         fixed_k=True,
@@ -173,15 +166,28 @@ def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
     G = theta(f)/f has weight 2, so G = (mu * w)^r with r = 2 / weight_step:
     r = 1 and w = E*_2 for the zeta families, with mu = 24, 12, 6 for
     p = 2, 3, 5, and r = 2 against the weight-one Catalan series, with mu = 4.
-    Since f = q + O(q^2), G starts at 1, so mu = 1/|w_0|.  Both checks are
-    multiplied through by f: theta(f) = f * G, with f and w to prec + 1
-    terms, then G^6 (f/Delta) = Q_p(f)^j, where f/Delta is the eta quotient
-    of f times eta(tau)^-24.
+    Since f = q + O(q^2), G starts at 1, so mu = 1/|w_0|.  This check is
+    multiplied through by f: theta(f) = f * G, with f and w to prec + 1 terms.
+    Then h = G^6 (f/Delta), f/Delta the eta quotient of f times eta(tau)^-24,
+    has at most B poles, B the index of Gamma0(N), N the lcm of the deltas
+    (Delta/f has weight 12 and no zeros in the upper half-plane), so the curve
+    Q, read off h re-expanded in f to B + 1 terms, must have Q(0) = 1 and
+    h = Q(f) to prec terms; prec <= B + 1 would leave no term to check.
 
     >>> run_canaries(catalog("zeta-p3"))
     Fraction(12, 1)
     """
+    return _canaries(config, prec)[0]
+
+
+def _canaries(config: CaseConfig, prec: int = 16) -> tuple[Fraction, tuple[int, ...]]:
+    """run_canaries' checks; returns mu and Q's ascending coefficients."""
     record = config.family
+    level = lcm(*(delta for delta, _ in record.eta))
+    primes = [q for q in range(2, level + 1) if level % q == 0 and is_prime(q)]
+    bound = level * prod(q + 1 for q in primes) // prod(primes)
+    if prec <= bound + 1:
+        raise ValueError(f"the canaries of {config.case_id} need prec > {bound + 1}")
     f = uniformizer_series(config, prec + 1)
     w = record.series(record.p, record.weight_step, prec + 1)
     r = 2 // record.weight_step
@@ -192,9 +198,11 @@ def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
             f"theta(f)/f is not the power {r} of a multiple of the weight-"
             f"{record.weight_step} series for {config.case_id}"
         )
-    coeffs, j = record.curve
-    ratio = expand_product(record.eta + ((1, -24),), prec)
-    q_of_f = sum((c * f**i for i, c in enumerate(coeffs)), QSeries([0], prec))
-    if g**6 * ratio != q_of_f**j:
-        raise IdentityError(f"G^6 f/Delta is not Q(f)^{j} on the curve of {config.case_id}")
-    return mu
+    h = g**6 * expand_product(record.eta + ((1, -24),), prec)
+    coeffs = [c.numerator for (c,) in reexpand(h, f, bound + 1)]
+    q_of_f = QSeries([0], prec)
+    for c in reversed(coeffs):
+        q_of_f = f * q_of_f + QSeries([c], prec)
+    if coeffs[0] != 1 or h != q_of_f:
+        raise IdentityError(f"G^6 f/Delta is not Q(f), Q(0) = 1 on the curve of {config.case_id}")
+    return mu, tuple(coeffs[: max(i for i, c in enumerate(coeffs) if c) + 1])

@@ -33,10 +33,10 @@ DEFAULT_WINDOW = (3, 10)
 
 def theta_closed(config: CaseConfig) -> float:
     """Asymptotic irrationality exponent v*log(p) / (e*log(p) + D), with the
-    growth exponents v and e read off the family's curve."""
-    family = config.family
-    log_p = math.log(family.p)
-    return family.v * log_p / (family.e * log_p + config.D)
+    growth exponents e and v = 2e read off the family's derived curve."""
+    e = config.family.e
+    log_p = math.log(config.family.p)
+    return 2 * e * log_p / (e * log_p + config.D)
 
 
 class Certificate(NamedTuple):

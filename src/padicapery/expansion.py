@@ -22,58 +22,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import curves
-from .qseries import QSeries
+from .qseries import reexpand
 from .recurrence import RecurrenceSpec, column_violations, extend_integers, fit_length
 
 __all__ = [
-    "reexpand",
     "reexpanded_columns",
     "SequenceTable",
     "sequences",
 ]
-
-
-def reexpand(
-    h: QSeries, f: QSeries, count: int, *more: QSeries
-) -> list[tuple[Fraction, ...]]:
-    """Rewrite h, and each series in `more`, as power series in f: row m of
-    the result holds [f^m] of h, then of each series in `more`, for m < count.
-
-    Contract: f is integral and f = q + O(q^2), so f^m starts at q^m with
-    coefficient 1 and [f^m]H needs only q^0..q^m of H and f.  One pass over
-    the powers f^m peels every series in integers, keeping f^m only.
-    """
-    hs = (h, *more)
-    if count < 1 or count > min(s.prec for s in (*hs, f)):
-        raise ValueError("count must be within the available precision")
-    if f[0] != 0 or f[1] != 1:
-        raise ValueError("re-expansion needs a uniformizer f = q + O(q^2)")
-    if f.den != 1:
-        raise ValueError("re-expansion needs a uniformizer with integer coefficients")
-    # f = q + sum_j c_j q^j over the nonzero c_j with j >= 2.
-    tail = [(j, c) for j, c in enumerate(f.nums[2:count], 2) if c]
-    rems = [list(s.nums[:count]) for s in hs]
-    fpow = [1] + [0] * (count - 1)  # f^m; entries below q^m are stale
-    out = []
-    for m in range(count):
-        row = []
-        for rem, s in zip(rems, hs):
-            c = rem[m]
-            row.append(Fraction(c, s.den))
-            if c:
-                for i in range(m + 1, count):
-                    rem[i] -= c * fpow[i]
-        out.append(tuple(row))
-        # f^(m+1) = f^m * f in place, top down so f^m is read before it is
-        # overwritten.
-        for i in range(count - 1, m, -1):
-            acc = fpow[i - 1]
-            for j, c in tail:
-                if i - j < m:
-                    break
-                acc += c * fpow[i - j]
-            fpow[i] = acc
-    return out
 
 
 class SequenceTable(NamedTuple):

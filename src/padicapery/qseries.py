@@ -1,4 +1,4 @@
-"""Truncated formal power series in q with exact rational coefficients.
+"""Exact truncated power series in q and their re-expansion in a uniformizer.
 
 A series of precision N is the jet c_0 + c_1 q + ... + c_{N-1} q^{N-1}, held as
 integer numerators over one positive denominator in lowest terms (1 for an
@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable
 
-__all__ = ["QSeries", "expand_product"]
+__all__ = ["QSeries", "expand_product", "reexpand"]
 
 
 class QSeries:
@@ -153,3 +153,46 @@ def expand_product(eta: tuple[tuple[int, int], ...], prec: int) -> QSeries:
         # // is exact.
         coeffs.append(sum(map(mul, c[1 : n + 1], reversed(coeffs))) // n)
     return QSeries([0] * power + coeffs, prec)
+
+
+def reexpand(
+    h: QSeries, f: QSeries, count: int, *more: QSeries
+) -> list[tuple[Fraction, ...]]:
+    """Rewrite h, and each series in `more`, as power series in f: row m of
+    the result holds [f^m] of h, then of each series in `more`, for m < count.
+
+    Contract: f is integral and f = q + O(q^2), so f^m starts at q^m with
+    coefficient 1 and [f^m]H needs only q^0..q^m of H and f.  One pass over
+    the powers f^m peels every series in integers, keeping f^m only.
+    """
+    hs = (h, *more)
+    if count < 1 or count > min(s.prec for s in (*hs, f)):
+        raise ValueError("count must be within the available precision")
+    if f[0] != 0 or f[1] != 1:
+        raise ValueError("re-expansion needs a uniformizer f = q + O(q^2)")
+    if f.den != 1:
+        raise ValueError("re-expansion needs a uniformizer with integer coefficients")
+    # f = q + sum_j c_j q^j over the nonzero c_j with j >= 2.
+    tail = [(j, c) for j, c in enumerate(f.nums[2:count], 2) if c]
+    rems = [list(s.nums[:count]) for s in hs]
+    fpow = [1] + [0] * (count - 1)  # f^m; entries below q^m are stale
+    out = []
+    for m in range(count):
+        row = []
+        for rem, s in zip(rems, hs):
+            c = rem[m]
+            row.append(Fraction(c, s.den))
+            if c:
+                for i in range(m + 1, count):
+                    rem[i] -= c * fpow[i]
+        out.append(tuple(row))
+        # f^(m+1) = f^m * f in place, top down so f^m is read before it is
+        # overwritten.
+        for i in range(count - 1, m, -1):
+            acc = fpow[i - 1]
+            for j, c in tail:
+                if i - j < m:
+                    break
+                acc += c * fpow[i - j]
+            fpow[i] = acc
+    return out

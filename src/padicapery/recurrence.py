@@ -121,11 +121,13 @@ def column_violations(
 
     The b-column satisfies the relation from n = order - 1 on, the a-column
     only from n = order, because its seed breaks the relation that first
-    touches it.
+    touches it.  The a-column is checked in integers, over its common denominator.
     """
+    den = lcm(*(a.denominator for a in a_list))
+    a_nums = [a.numerator * (den // a.denominator) for a in a_list]
     return {
         column: (start, verify_recurrence(spec, seq, start))
-        for column, seq, start in (("b", b_list, spec.order - 1), ("a", a_list, spec.order))
+        for column, seq, start in (("b", b_list, spec.order - 1), ("a", a_nums, spec.order))
     }
 
 

@@ -42,6 +42,26 @@ def test_series_fractional_output(capsys):
     assert out.splitlines()[0] == "0 1/4"
 
 
+@pytest.mark.parametrize(
+    "argv,size_flag",
+    [
+        ("series --case zeta-p2", "--prec"),
+        ("series --form e --weight 4", "--prec"),
+        ("sequences --case zeta-p2", "-n"),
+    ],
+)
+def test_default_sizes_are_eight_rows(argv, size_flag, capsys):
+    """Without a size flag, series prints 8 coefficients and sequences 8
+    table rows under its CSV header, the bytes of an explicit size of 8."""
+    default = run_cli(capsys, *argv.split())
+    explicit = run_cli(capsys, *argv.split(), size_flag, "8")
+    assert default == explicit
+    code, out, err = default
+    assert (code, err) == (0, "")
+    header = argv.startswith("sequences")
+    assert len(out.splitlines()) == 8 + header
+
+
 def test_series_requires_exactly_one_source():
     with pytest.raises(SystemExit) as err:
         main(["series", "--prec", "3"])
@@ -629,19 +649,20 @@ def test_failing_elliptic_canary_exits_one(capsys, monkeypatch):
         return 2 * series if sum(delta * r for delta, r in eta) == 0 else series
 
     monkeypatch.setattr(curves, "expand_product", doubled_quotient)
-    for family, j in (("zeta-p2", 3), ("zeta-p3", 4), ("zeta-p5", 3), ("catalan-p2", 5)):
+    for family in ("zeta-p2", "zeta-p3", "zeta-p5", "catalan-p2"):
         case_id = curves.catalog(family).case_id
         code, out, err = run_cli(capsys, "sequences", "--case", family, "-n", "3")
         assert (code, out) == (1, "")
         assert err == (
-            f"identity check failed: G^6 f/Delta is not Q(f)^{j} on the curve of {case_id}\n"
+            f"identity check failed: G^6 f/Delta is not Q(f), Q(0) = 1 on the curve of {case_id}\n"
         )
 
 
 def test_wrong_curve_fails_the_table(capsys, monkeypatch):
-    """One coefficient of Q_p off ends the run before any output."""
+    """One eta exponent off, and with it the curve, ends the run before any
+    output."""
     family = curves.FAMILY_TABLE["zeta-p3"]
-    monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p3", family._replace(curve=((1, 28), 4)))
+    monkeypatch.setitem(curves.FAMILY_TABLE, "zeta-p3", family._replace(eta=((1, -12), (3, 4))))
     code, out, err = run_cli(capsys, "sequences", "--case", "zeta-p3")
     assert (code, out) == (1, "")
     assert err.startswith("identity check failed:")

@@ -1,5 +1,6 @@
 """Case catalog, uniformizer expansions, and identity canaries."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from padicapery.curves import (
     FAMILIES,
     FAMILY_TABLE,
     IdentityError,
+    _canaries,
     catalog,
     run_canaries,
     uniformizer_series,
@@ -71,17 +73,95 @@ def test_log_derivative_constants():
     assert run_canaries(catalog("catalan-p2")) == 4
 
 
+# Each family's curve typed in by hand as (Q_p ascending, j), with
+# G^6 (f/Delta) = Q_p(f)^j: the reference for the polynomial that the
+# canaries derive from the family's eta pairs.
+HAND_CURVES = {
+    "zeta-p2": ((1, 64), 3),
+    "zeta-p3": ((1, 27), 4),
+    "zeta-p5": ((1, 22, 125), 3),
+    "catalan-p2": ((1, 16), 5),
+}
+# B, the index of Gamma0(N), N the lcm of the deltas: the degree bound.
+INDEX_BOUNDS = {"zeta-p2": 3, "zeta-p3": 4, "zeta-p5": 6, "catalan-p2": 6}
+
+
+def _polymul(first, second):
+    product = [0] * (len(first) + len(second) - 1)
+    for i, x in enumerate(first):
+        for j, y in enumerate(second):
+            product[i + j] += x * y
+    return product
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_curve_identity(family):
-    """G^6 (f/Delta) = Q_p(f)^j holds for the family's curve, and fails with
-    Q_p's top coefficient or j off by one."""
+    """G^6 (f/Delta) re-expands in f to Q_p^j, the hand-typed curve, at the
+    default precision and at the term cap."""
+    coeffs, j = HAND_CURVES[family]
+    expected = [1]
+    for _ in range(j):
+        expected = _polymul(expected, coeffs)
+    assert len(expected) - 1 <= INDEX_BOUNDS[family]
+    for prec in (16, 256):
+        assert _canaries(catalog(family), prec)[1] == tuple(expected)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_wrong_eta_exponent_fails_the_canaries(family):
+    """Each eta exponent in turn moved by the least step that keeps
+    sum(delta * r) a multiple of 24: the canaries refuse every one."""
     config = catalog(family)
-    run_canaries(config)
-    coeffs, j = config.family.curve
-    for wrong in (((*coeffs[:-1], coeffs[-1] + 1), j), (coeffs, j + 1)):
-        record = config.family._replace(curve=wrong)
-        with pytest.raises(IdentityError, match=r"^G\^6 f/Delta"):
+    eta = config.family.eta
+    for i, (delta, r) in enumerate(eta):
+        wrong = (*eta[:i], (delta, r + 24 // math.gcd(delta, 24)), *eta[i + 1 :])
+        assert sum(d * e for d, e in wrong) % 24 == 0
+        record = config.family._replace(eta=wrong)
+        with pytest.raises(IdentityError):
             run_canaries(config._replace(family=record))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_canaries_refuse_a_vacuous_tail(family):
+    """prec <= B + 1 leaves no term past the re-expanded ones to check."""
+    bound = INDEX_BOUNDS[family]
+    with pytest.raises(ValueError, match=rf"need prec > {bound + 1}$"):
+        run_canaries(catalog(family), bound + 1)
+    run_canaries(catalog(family), bound + 2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_canaries_see_the_last_term(monkeypatch, family):
+    """The log-derivative check reads f through q^prec and the curve check
+    reads f/Delta through q^(prec - 1): a change at either last term fails."""
+    import padicapery.curves as curves_module
+
+    prec = 16
+    config = catalog(family)
+
+    def bumped(series, index):
+        nums = list(series.nums)
+        nums[index] += 1
+        return QSeries(nums, den=series.den)
+
+    build_f, build_eta = curves_module.uniformizer_series, curves_module.expand_product
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            curves_module, "uniformizer_series", lambda *args: bumped(build_f(*args), prec)
+        )
+        with pytest.raises(IdentityError, match=r"theta\(f\)/f"):
+            run_canaries(config, prec)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            curves_module,
+            "expand_product",
+            lambda eta, n: bumped(build_eta(eta, n), prec - 1)
+            if sum(delta * r for delta, r in eta) == 0
+            else build_eta(eta, n),
+        )
+        with pytest.raises(IdentityError, match=r"^G\^6 f/Delta"):
+            run_canaries(config, prec)
+    run_canaries(config, prec)
 
 
 def test_run_canaries_all_cases():
@@ -196,14 +276,6 @@ def test_growth_parameters():
 RELATIONS = [(name, k) for name, family in FAMILY_TABLE.items() for k in family.recurrence]
 
 
-def _polymul(first, second):
-    product = [0] * (len(first) + len(second) - 1)
-    for i, x in enumerate(first):
-        for j, y in enumerate(second):
-            product[i + j] += x * y
-    return product
-
-
 def characteristic_quadratic(family, k):
     """(c, p^(2e)) with x^2 + c x + p^(2e) = rev(Q_p)^(2 / deg Q_p), after
     checking chi = lead_0 * rev(Q_p)^(r / deg Q_p) in integer polynomial
@@ -213,7 +285,7 @@ def characteristic_quadratic(family, k):
     record = FAMILY_TABLE[family]
     spec = record.recurrence[k]
     chi = [poly[spec.degree] if len(poly) > spec.degree else 0 for poly in spec.coeff_polys]
-    coeffs, _ = record.curve
+    coeffs, _ = HAND_CURVES[family]
     power, odd = divmod(spec.order, len(coeffs) - 1)
     assert not odd
     expected = [chi[0]]
