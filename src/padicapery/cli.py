@@ -364,8 +364,8 @@ def main(argv=None) -> int:
         return 1
     finally:
         # At exit CPython clears sys.modules and runs full collections that
-        # free the import-time object graph (classes, functions and module
-        # dicts sit in cycles) one object at a time: about 12 ms, more than a
-        # small table costs.  The collector skips frozen objects, which the
-        # operating system reclaims with the process.
+        # free the import-time graph (classes, functions and module dicts sit
+        # in cycles) one object at a time: `sequences -n 64` took 84 ms, and
+        # 72 ms frozen (medians of 30 fresh-process pairs, 2-vCPU host, Python
+        # 3.11).  The collector skips frozen objects; process exit frees them.
         gc.freeze()
