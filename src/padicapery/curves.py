@@ -7,9 +7,9 @@ N = 4 for Catalan), the builders of the weight series and its antiderivative
 that get re-expanded in f, how the weight grows with the index k, the sign
 that reconciles the re-expansion output with the published b-list (and so
 fixes the sign of the limit), the recurrences and the oracle.  The curve is
-not stored: the canaries derive it from the eta pairs, and the (v, e)
-exponents that feed the closed-form witness exponent are read off it.  A case
-is a family at one index k.
+not stored: run_canaries derives it from the eta pairs and returns it, and
+diophantine.theta_closed computes the growth exponent e from that result.  A
+case is a family at one index k.
 
 Two exact q-expansion identities act as canaries for every family: the
 logarithmic derivative G = theta(f)/f must equal a known power of a multiple
@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import eisenstein
 from .eisenstein import series_e_star, series_f
-from .exactnum import is_prime, vp
+from .exactnum import is_prime
 from .qseries import QSeries, expand_product, reexpand
 from .recurrence import CATALAN_P2, ZETA_P2, ZETA_P2_K2, ZETA_P3, ZETA_P5, RecurrenceSpec
 
@@ -56,9 +56,9 @@ class Family(NamedTuple):
     weight 2k, its antiderivative, and theta(f)/f = mu E*_2.  The series
     builders take (p, weight, prec) and look their eisenstein function up when
     called; the member of weight `weight_step` (k = 1) is the canary's series.
-    The growth exponents `v` and `e` are read off the curve Q, with
-    G^6 (f/Delta) = Q(f) for G = theta(f)/f, that the canaries derive from
-    `eta`.
+    The curve Q, with G^6 (f/Delta) = Q(f) for G = theta(f)/f, is not a
+    field: run_canaries derives it from `eta`, and theta_closed computes the
+    growth exponent e from it.
     """
 
     name: str
@@ -75,27 +75,6 @@ class Family(NamedTuple):
     antiderivative: Callable[[int, int, int], QSeries] = (
         lambda p, weight, prec: eisenstein.series_e_prime(p, weight, prec)
     )
-
-    @property
-    def e(self) -> Fraction:
-        """Archimedean growth exponent: each relation's characteristic
-        polynomial is a power of Q_p reversed (the tests check it), whose roots
-        share one modulus p^e.  So do the roots of the derived curve Q = Q_p^j,
-        whose top coefficient is thus +-p^(e deg Q).
-
-        >>> FAMILY_TABLE["zeta-p5"].e
-        Fraction(3, 2)
-        """
-        coeffs = _canaries(CaseConfig(self, 1))[1]
-        return Fraction(vp(coeffs[-1], self.p), len(coeffs) - 1)
-
-    @property
-    def v(self) -> Fraction:
-        """Valuation growth exponent v = 2e.  Order-2 relations give the cross
-        differences W_n = a_n b_(n+1) - a_(n+1) b_n the exact identity P_0(n) W_n =
-        P_2(n) W_(n-1), so W gains vp(P_2(n) / P_0(n)) digits at row n, v on
-        average; zeta-p5's order-4 growth v = 3 is measured only: 2.90 to 3.05."""
-        return 2 * self.e
 
 
 _TABLE = (
@@ -159,9 +138,10 @@ def uniformizer_series(config: CaseConfig, prec: int) -> QSeries:
     return expand_product(config.family.eta, prec)
 
 
-def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
+def run_canaries(config: CaseConfig, prec: int = 16) -> tuple[Fraction, tuple[int, ...]]:
     """Check both identities to prec terms, building f and the k = 1 weight
-    series w once, and return mu.
+    series w once, and return mu and the curve Q's ascending integer
+    coefficients, trimmed after the last nonzero one.
 
     G = theta(f)/f has weight 2, so G = (mu * w)^r with r = 2 / weight_step:
     r = 1 and w = E*_2 for the zeta families, with mu = 24, 12, 6 for
@@ -175,13 +155,8 @@ def run_canaries(config: CaseConfig, prec: int = 16) -> Fraction:
     h = Q(f) to prec terms; prec <= B + 1 would leave no term to check.
 
     >>> run_canaries(catalog("zeta-p3"))
-    Fraction(12, 1)
+    (Fraction(12, 1), (1, 108, 4374, 78732, 531441))
     """
-    return _canaries(config, prec)[0]
-
-
-def _canaries(config: CaseConfig, prec: int = 16) -> tuple[Fraction, tuple[int, ...]]:
-    """run_canaries' checks; returns mu and Q's ascending coefficients."""
     record = config.family
     level = lcm(*(delta for delta, _ in record.eta))
     primes = [q for q in range(2, level + 1) if level % q == 0 and is_prime(q)]

@@ -189,7 +189,7 @@ def test_acceptance_8_structural_identities(tables):
     assert QSeries([0, 1], prec) * one_plus_q_n**24 == expand_product(((1, -24), (2, 24)), prec)
     mu = {"zeta-p2": 24, "zeta-p3": 12, "zeta-p5": 6, "catalan-p2": 4}
     for family in FAMILIES:
-        assert run_canaries(catalog(family), prec) == mu[family]
+        assert run_canaries(catalog(family), prec)[0] == mu[family]
     for p in (2, 3):
         for k in (1, 2):
             prime = series_e_prime(p, 2 * k, prec)

@@ -668,6 +668,22 @@ def test_wrong_curve_fails_the_table(capsys, monkeypatch):
     assert err.startswith("identity check failed:")
 
 
+def test_certify_derives_the_curve_twice(capsys, monkeypatch):
+    """Once in the table's canary pass and once in theta_closed: nothing
+    else derives it again."""
+    derive = curves.run_canaries
+    calls = []
+
+    def counted(config, *args):
+        calls.append(config.case_id)
+        return derive(config, *args)
+
+    monkeypatch.setattr(curves, "run_canaries", counted)
+    code, _, _ = run_cli(capsys, "certify", "--case", "zeta-p2")
+    assert code == 0
+    assert calls == ["zeta-p2:k=1", "zeta-p2:k=1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

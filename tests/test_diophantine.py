@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicapery.curves import CaseConfig, catalog
+from padicapery.curves import CaseConfig, catalog, run_canaries
 from padicapery.diophantine import (
     THETA_REQUIRED,
     Certificate,
@@ -87,6 +87,13 @@ def test_slope_windows():
         assert lo <= slope <= hi, (family, slope)
 
 
+def growth_v(config):
+    """v = 2e, e read off the curve Q that run_canaries returns, whose top
+    coefficient is +-p^(e deg Q), as theta_closed reads it."""
+    curve = run_canaries(config)[1]
+    return Fraction(2 * vp(curve[-1], config.family.p), len(curve) - 1)
+
+
 @functools.cache
 def _cross_differences(family, k):
     """W_n = a_n b_(n+1) - a_(n+1) b_n for n = 0..62, from 64 rows of
@@ -113,7 +120,7 @@ def test_cross_differences_follow_the_casoratian(family, k):
         assert first * cross[n] == last * cross[n - 1], n
         assert vp(cross[n], p) - vp(cross[n - 1], p) == vp(last, p) - vp(first, p), n
     leads = [poly[spec.degree] for poly in spec.coeff_polys]
-    assert vp(Fraction(leads[2], leads[0]), p) == config.family.v
+    assert vp(Fraction(leads[2], leads[0]), p) == growth_v(config)
 
 
 @pytest.mark.parametrize("window", [(5, 24), (2, 62)], ids=["5-24", "2-62"])
@@ -125,7 +132,7 @@ def test_zeta_p5_cross_differences_grow_by_v(window):
     cross = _cross_differences("zeta-p5", 1)
     assert all(cross)
     slope = (vp(cross[hi], 5) - vp(cross[lo], 5)) / (hi - lo)
-    assert abs(slope - catalog("zeta-p5").family.v) < 0.25
+    assert abs(slope - growth_v(catalog("zeta-p5"))) < 0.25
 
 
 def reference_resolve_sign(table, eta, window):

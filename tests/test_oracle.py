@@ -172,6 +172,12 @@ def reference_interpolated_limit(g, p, spacing, n, target):
         (3, lambda m: -m * zeta_star(3, m) / 4, 6, 2, 40),
         (5, lambda m: -m * zeta_star(5, m) / 2, 4, 1, 40),
         (2, lambda m: -m * zeta_star(2, m) / 32, 64, 16, 40),
+        # The oracles' own nodes at n = 1 and target 1, which stabilise at the
+        # earliest node the loop may return at, _MIN_POINTS.
+        (2, lambda m: -m * zeta_star(2, m) / 2, 4, 1, 1),
+        (3, lambda m: -m * zeta_star(3, m) / 2, 6, 1, 1),
+        (5, lambda m: -m * zeta_star(5, m) / 2, 4, 1, 1),
+        (2, l_chi4_neg, 4, 1, 1),
     ],
 )
 def test_running_differences_match_a_binomial_sum_reference(p, g, spacing, n, target):
