@@ -20,11 +20,14 @@ are fixed to ten decimal places.
 
 from __future__ import annotations
 
-import argparse
-import gc
-import os
-import sys
-
+# The package's own modules load before the standard library's, `oracle`
+# first.  Without a bytecode cache every run compiles each module, and a
+# module compiled after argparse and the dataclasses -> inspect chain (pulled
+# in by `recurrence`) have loaded leaves its compiler memory resident, while
+# one compiled right after this module reuses the space this module's own
+# compile freed: each run peaks 0.11-0.13 MB lower.  With a cache the order
+# makes no difference.
+from .oracle import OracleInconsistency, catalan_2adic_oracle, zeta_p_oracle
 from . import curves, recurrence
 from .diophantine import DEFAULT_WINDOW, THETA_REQUIRED, criterion_check
 from .eisenstein import (
@@ -36,7 +39,11 @@ from .eisenstein import (
     series_f_prime,
 )
 from .expansion import reexpanded_columns, sequences
-from .oracle import OracleInconsistency, catalan_2adic_oracle, zeta_p_oracle
+
+import argparse
+import gc
+import os
+import sys
 
 _ORACLE_FAMILIES = {family.oracle: family for family in curves.FAMILY_TABLE.values()}
 # form -> (takes --p, takes --weight, builder(p, weight, prec))

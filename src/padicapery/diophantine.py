@@ -95,6 +95,12 @@ def criterion_check(
     sign_b * B, so the rows approximate eta by -sign_b * p_n/q_n.  An oracle
     value at another prime or of another limit, or a window other than
     0 <= LO <= HI < len(table.b), raises ValueError.
+
+    Any SequenceTable is accepted, and a table holds no derived fields (only
+    config, a and b), so theta_closed derives the curve it reads e from
+    itself, although the table's own canary pass derived it too.  Passing
+    that curve along would widen the table for a warm run_canaries at
+    prec 16, about 0.5-1 ms per call.
     """
     config = table.config
     asymptotic = theta_closed(config)

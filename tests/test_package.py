@@ -63,11 +63,16 @@ def run_fresh(script: str) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_after(statement: str) -> set[str]:
-    """sys.modules after statement, run first in a new interpreter."""
+def load_order(statement: str) -> list[str]:
+    """sys.modules after statement, run first in a new interpreter, in the
+    order the imports finished."""
     result = run_fresh(f"{statement}\nimport sys\nprint(*sys.modules, sep='\\n')")
     assert result.returncode == 0 and result.stderr == "", result.stderr
-    return set(result.stdout.split())
+    return result.stdout.split()
+
+
+def loaded_after(statement: str) -> set[str]:
+    return set(load_order(statement))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -96,6 +101,17 @@ def test_cli_import_loads_every_module():
     """perfbench's launcher imports padicapery.cli alone, then wraps names in
     every module, inside the span that times the import."""
     assert set(MODULES) <= loaded_after("import padicapery.cli")
+
+
+def test_cli_compiles_the_package_before_the_standard_library():
+    """sys.modules lists modules in the order their imports finished: the
+    oracle's chain loads before dataclasses, and argparse after every package
+    module but the CLI itself (see the comment on cli.py's imports)."""
+    order = load_order("import padicapery.cli")
+    for name in ("oracle", "eisenstein", "qseries", "exactnum"):
+        assert order.index(f"padicapery.{name}") < order.index("dataclasses"), name
+    package = [m for m in order if m.startswith("padicapery.") and m != "padicapery.cli"]
+    assert order.index("argparse") > max(map(order.index, package))
 
 
 def test_exports_are_their_home_modules_objects():
