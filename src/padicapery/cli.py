@@ -241,29 +241,28 @@ def _cmd_oracle(parser, args) -> tuple[str, int]:
 
 def _cmd_recurrence(parser, args) -> tuple[str, int]:
     _check_size(parser, "-n", args.count, _MAX_TERMS)
-    if args.count < 6:
-        parser.error("-n must be at least 6 for a meaningful check")
     config = _resolve_case(parser, args.case, args.k)
     spec = config.family.recurrence.get(config.k)
     if spec is None:
         parser.error(f"{config.case_id} has no built-in recurrence")
     # The reference path: a relation is never checked against its own output.
     table = reexpanded_columns(config, args.count)
-    if args.action == "verify":
-        reported = spec
-        checked = recurrence.column_violations(spec, table.b, table.a)
-        payload = {}
-        for column, (start, violations) in checked.items():
-            payload[f"range_{column}"] = [start, args.count - 2]
-            payload[f"violations_{column}"] = len(violations)
-        code = 1 if any(violations for _, violations in checked.values()) else 0
-    else:
-        try:
+    # The relation layer says how many rows each action needs.
+    try:
+        if args.action == "verify":
+            reported = spec
+            checked = recurrence.column_violations(spec, table.b, table.a)
+            payload = {}
+            for column, (start, violations) in checked.items():
+                payload[f"range_{column}"] = [start, args.count - 2]
+                payload[f"violations_{column}"] = len(violations)
+            code = 1 if any(violations for _, violations in checked.values()) else 0
+        else:
             reported = recurrence.fit_recurrence(table.b, spec.order, spec.degree)
-        except ValueError as exc:
-            parser.error(f"-n {args.count}: {exc}")
-        payload = {"matches_builtin": reported == spec, "source": "b"}
-        code = 0 if reported == spec else 1
+            payload = {"matches_builtin": reported == spec, "source": "b"}
+            code = 0 if reported == spec else 1
+    except ValueError as exc:
+        parser.error(f"-n {args.count}: {exc}")
     payload.update(
         case=config.case_id,
         coeff_polys=[list(poly) for poly in reported.coeff_polys],

@@ -121,8 +121,12 @@ def column_violations(
 
     The b-column satisfies the relation from n = order - 1 on, the a-column
     only from n = order, because its seed breaks the relation that first
-    touches it.  The a-column is checked in integers, over its common denominator.
+    touches it.  Fewer than order + 2 rows leave the a-column no residual, and
+    raise ValueError.  The a-column is checked in integers, over its common
+    denominator.
     """
+    if min(len(b_list), len(a_list)) < spec.order + 2:
+        raise ValueError(f"not enough rows for a residual in each column (need {spec.order + 2})")
     den = lcm(*(a.denominator for a in a_list))
     a_nums = [a.numerator * (den // a.denominator) for a in a_list]
     return {

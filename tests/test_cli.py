@@ -588,6 +588,29 @@ def test_recurrence_verify_every_case(capsys, family, k, order):
     assert (payload["range_b"], payload["range_a"]) == ([order - 1, 46], [order, 46])
 
 
+@pytest.mark.parametrize(
+    "family,k",
+    [(name, k) for name, family in curves.FAMILY_TABLE.items() for k in family.recurrence],
+)
+def test_recurrence_verify_needs_order_plus_two_rows(capsys, family, k):
+    """The a-column is checked from n = order, so -n order + 2 gives each
+    column one residual, and -n order + 1 is a usage error, not an empty check."""
+    order = curves.FAMILY_TABLE[family].recurrence[k].order
+    argv = ["recurrence", "verify", "--case", family, "-k", str(k), "-n"]
+    code, out, err = run_cli(capsys, *argv, str(order + 2))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["violations_a"], payload["violations_b"]) == (0, 0)
+    assert (payload["range_b"], payload["range_a"]) == ([order - 1, order], [order, order])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(order + 1)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"padicapery recurrence: error: -n {order + 1}: "
+        f"not enough rows for a residual in each column (need {order + 2})\n"
+    )
+
+
 def test_wrong_recurrence_fails_the_table(capsys, monkeypatch):
     """Past its prefix a table comes from the relation, checked on the prefix
     first; a wrong relation ends the run with no output."""

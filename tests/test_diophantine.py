@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicapery import diophantine
 from padicapery.curves import CaseConfig, catalog, run_canaries
 from padicapery.diophantine import (
     THETA_REQUIRED,
@@ -228,7 +229,8 @@ def test_a_row_of_height_one_never_passes():
     """A row p/q = 0/1, as zeta-p5 row 0 is, has height 1 and log size 0.0:
     at gap 0, 0 * log 2 >= 1.01 * 0 holds, yet the row bounds nothing, so a
     window of that certified row alone fails in a case whose closed-form
-    exponent reaches THETA_REQUIRED."""
+    exponent reaches THETA_REQUIRED.  Its implied exponent is 0.0 at gap 0
+    and inf at any gap above, and the row fails at gap 1 too."""
     assert sequences(catalog("zeta-p5"), 4).ratio(0) == 0
     config = catalog("zeta-p2")
     assert theta_closed(config) >= THETA_REQUIRED
@@ -237,6 +239,11 @@ def test_a_row_of_height_one_never_passes():
     (row,) = report.certificates
     assert (row.p_n, row.q_n, row.valuation_gap, row.log_max_size) == (0, 1, 0, 0.0)
     assert row.certified
+    assert row.implied_exponent == 0.0
+    assert report.verdict == "WITNESS_FAIL"
+    report = criterion_check(table, PadicValue(Fraction(2), 40, 2), window=(0, 0))
+    (row,) = report.certificates
+    assert (row.valuation_gap, row.certified, row.implied_exponent) == (1, True, math.inf)
     assert report.verdict == "WITNESS_FAIL"
 
 
@@ -273,6 +280,17 @@ def test_a_row_passes_exactly_at_the_required_exponent(offset, passes):
     assert cert.certified and cert.valuation_gap == gap
     assert math.isclose(cert.implied_exponent, target, rel_tol=1e-9)
     assert report.verdict == ("WITNESS_PASS" if passes else "WITNESS_FAIL")
+
+
+@pytest.mark.parametrize(
+    "offset, verdict", [(-1e-12, "WITNESS_FAIL"), (0.0, "WITNESS_PASS")], ids=["below", "at"]
+)
+def test_a_case_fails_only_below_the_required_exponent(offset, verdict, monkeypatch):
+    """A closed-form exponent of exactly THETA_REQUIRED does not fail the
+    case; the zeta-p2 rows then decide, and they pass."""
+    monkeypatch.setattr(diophantine, "theta_closed", lambda config: THETA_REQUIRED + offset)
+    table = sequences(catalog("zeta-p2"), 12)
+    assert criterion_check(table, zeta_p_oracle(2, 1, 40)).verdict == verdict
 
 
 def test_criterion_fail_verdict_for_heavier_weight():

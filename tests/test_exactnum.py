@@ -162,3 +162,17 @@ def test_log_size_matches_math_log():
     assert math.isclose(log_size(10**6), 6 * math.log(10), rel_tol=1e-12)
     huge = 7**900
     assert math.isclose(log_size(huge), 900 * math.log(7), rel_tol=1e-9)
+
+
+def test_log_size_leaves_math_log_past_512_bits():
+    """log_size is math.log up to 512 bits and the 64-bit shifted formula
+    from 513 on; at these two heights the formulas differ in the last bit."""
+
+    def shifted(n):
+        shift = n.bit_length() - 64
+        return math.log(n >> shift) + shift * math.log(2)
+
+    at_512, at_513 = 11**148, 2**4 * 11**147
+    assert (at_512.bit_length(), at_513.bit_length()) == (512, 513)
+    assert log_size(at_512) == math.log(at_512) != shifted(at_512)
+    assert log_size(at_513) == shifted(at_513) != math.log(at_513)

@@ -26,6 +26,7 @@ def test_zeta_2_oracle_certifies_target():
     assert value.p == 2
     assert value.agreement_exponent >= 40
     assert vp(value.representative, 2) < value.agreement_exponent
+    assert zeta_p_oracle(2) == value
 
 
 def test_zeta_3_oracle_certifies_target():
@@ -45,6 +46,7 @@ def test_oracle_rejects_bad_arguments():
 
 def test_catalan_oracle_against_published_approximant():
     value = catalan_2adic_oracle(40)
+    assert catalan_2adic_oracle() == value
     assert value.agreement_exponent >= 35
     assert vp(value.representative - PUBLISHED_CATALAN_APPROXIMANT, 2) >= 34
 

@@ -49,6 +49,10 @@ def test_equality_with_a_non_series_is_false():
 def test_repr_lists_the_nonzero_terms():
     assert repr(QSeries([Fraction(1, 2), 0, 3])) == "QSeries(1/2*q^0 + 3*q^2 + O(q^3))"
     assert repr(QSeries([0, 0])) == "QSeries(0 + O(q^2))"
+    # Only the first six coefficients are listed.
+    assert repr(QSeries(range(1, 9))) == (
+        "QSeries(1*q^0 + 2*q^1 + 3*q^2 + 4*q^3 + 5*q^4 + 6*q^5 + O(q^8))"
+    )
 
 
 def test_jets_are_unhashable():

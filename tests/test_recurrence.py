@@ -17,6 +17,7 @@ from padicapery.expansion import reexpanded_columns, sequences
 from padicapery.recurrence import (
     CATALAN_P2,
     RecurrenceSpec,
+    column_violations,
     extend_integers,
     fit_recurrence,
     verify_recurrence,
@@ -76,9 +77,35 @@ def test_extend_integers_reproduces_tables(catalan_table):
     spec = CATALAN_P2
     b = [int(value) for value in list(catalan_table.b)]
     assert extend_integers(spec, b[:3], 26) == b
+    assert extend_integers(spec, b[: spec.order], 26) == b
     scales = [math.lcm(*range(1, n + 1)) ** 2 for n in range(26)]
     cleared = [int(a * s) for a, s in zip(list(catalan_table.a), scales)]
     assert extend_integers(spec, cleared[:4], 26, scales) == cleared
+
+
+# u_{n+1} = u_{n-7}: order 8, the order predicted for p = 13.
+PERIOD_8 = RecurrenceSpec(((1,),) + ((0,),) * 7 + ((-1,),))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*(spec for family in FAMILY_TABLE.values() for spec in family.recurrence.values()), PERIOD_8],
+)
+def test_column_violations_need_order_plus_two_rows(spec):
+    """The a-column is checked from n = order, so each column needs order + 2
+    rows for a residual.  At that length both are checked through n = order,
+    where a last row of 1 breaks the relation; a column a row short, either
+    one, raises ValueError instead of reporting no violations."""
+    rows = spec.order + 2
+    column = [0] * (rows - 1) + [1]
+    lead = spec.poly_value(0, spec.order)
+    assert column_violations(spec, column, list(map(Fraction, column))) == {
+        "b": (spec.order - 1, [(spec.order, lead)]),
+        "a": (spec.order, [(spec.order, lead)]),
+    }
+    for b_rows, a_rows in ((rows - 1, rows), (rows, rows - 1)):
+        with pytest.raises(ValueError, match=rf"need {rows}\)"):
+            column_violations(spec, column[:b_rows], list(map(Fraction, column[:a_rows])))
 
 
 def test_extend_integers_validates_seed():
