@@ -63,45 +63,6 @@ def test_default_sizes_are_eight_rows(argv, size_flag, capsys):
     assert len(out.splitlines()) == 8 + header
 
 
-def test_series_requires_exactly_one_source():
-    with pytest.raises(SystemExit) as err:
-        main(["series", "--prec", "3"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["series", "--form", "e", "--case", "zeta-p2"])
-    assert err.value.code == 2
-
-
-def test_series_p_validation():
-    with pytest.raises(SystemExit) as err:
-        main(["series", "--form", "evil", "--weight", "4", "--prec", "3"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["series", "--form", "f", "--weight", "1", "--p", "2", "--prec", "3"])
-    assert err.value.code == 2
-    for p in ("0", "1", "4", "-2"):
-        for form, weight in (("e-star", "2"), ("e-prime", "2"), ("evil", "4")):
-            argv = ["series", "--form", form, "--weight", weight, "--p", p, "--prec", "5"]
-            with pytest.raises(SystemExit) as err:
-                main(argv)
-            assert err.value.code == 2
-
-
-def test_series_prec_is_capped(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a capped request must not compute anything")
-
-    monkeypatch.setattr(cli, "series_evil", refuse)
-    monkeypatch.setattr(cli.curves, "uniformizer_series", refuse)
-    for argv in (
-        ["series", "--form", "evil", "--weight", "4", "--p", "2", "--prec", str(10**11)],
-        ["series", "--case", "zeta-p2", "--prec", "257"],
-    ):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-
-
 def test_sequences_csv(capsys):
     code, out, _ = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "3")
     assert code == 0
@@ -120,20 +81,6 @@ def test_sequences_json_sorted_keys(capsys):
     assert [row["b"] for row in rows] == ["-1", "-4", "28"]
     dumped = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     assert out == dumped
-
-
-def test_sequences_cap_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["sequences", "--case", "zeta-p2", "-n", "257"])
-    assert err.value.code == 2
-
-
-def test_sequences_env_cap(capsys):
-    """The term cap is a constant, not an environment setting: 65 rows print
-    without one."""
-    code, out, _ = run_cli(capsys, "sequences", "--case", "zeta-p2", "-n", "65")
-    assert code == 0
-    assert len(out.splitlines()) == 66
 
 
 def test_sequences_plain(capsys):
@@ -219,17 +166,6 @@ def test_certify_window_rows(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert [row["n"] for row in rows[:-1]] == [4, 5, 6]
-
-
-def test_certify_rejects_window_before_evaluating_oracle(capsys, monkeypatch):
-    def oracle_must_not_run(*args):
-        raise AssertionError("the oracle ran for an unusable window")
-
-    monkeypatch.setattr(cli, "zeta_p_oracle", oracle_must_not_run)
-    with pytest.raises(SystemExit) as err:
-        main(["certify", "--case", "zeta-p2", "--bits", "200", "--window", "5", "3"])
-    assert err.value.code == 2
-    assert "--window needs 0 <= LO <= HI" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -320,25 +256,6 @@ def test_certified_rows_keep_their_gaps(op, capsys):
         assert certified.get(n) == gap, n
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("certify", "--case", "zeta-p2"),
-        ("certify", "--case", "zeta-p3", "--bits", "30", "--window", "3", "8"),
-        ("certify", "--case", "catalan-p2"),
-        ("oracle", "--target", "catalan", "--bits", "40"),
-        ("oracle", "--target", "zeta-p2", "-n", "1", "--bits", "40"),
-        ("oracle", "--target", "zeta-p3", "--bits", "40"),
-        ("certify", "--case", "zeta-p5"),
-        ("oracle", "--target", "zeta-p5", "--bits", "40"),
-    ],
-)
-def test_default_sizes_leave_stderr_empty(argv, capsys):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 0
-    assert err == ""
-
-
 def test_certify_p5_certified_rows(capsys):
     """Every default zeta-p5 row is certified; the verdict fails because
     the closed-form exponent 0.89 is below 1."""
@@ -383,60 +300,11 @@ def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
     assert err == "oracle inconsistency: strategies disagree\n"
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ("oracle --target zeta-p3 --bits 2049", "--bits 2049 exceeds the cap of 2048"),
-        ("oracle --target zeta-p2 -n 200", "-n 200 exceeds the cap of 16"),
-        ("oracle --target catalan --digits 2049", "--digits 2049 exceeds the cap of 2048"),
-        ("certify --case zeta-p2 --bits 100000", "--bits 100000 exceeds the cap of 2048"),
-        ("certify --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
-        ("sequences --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
-        ("series --case zeta-p2 -k 1000000", "unrecognized arguments: -k 1000000"),
-        ("series --form e --weight 34", "--weight 34 exceeds the cap of 33"),
-        ("series --case zeta-p2 --prec 257", "--prec 257 exceeds the cap of 256"),
-        (
-            "series --form e-star --p 1000000000000000003 --weight 2 --prec 3",
-            "--p 1000000000000000003 exceeds the cap of 65536",
-        ),
-        ("series --form evil --p 65537 --weight 4", "--p 65537 exceeds the cap of 65536"),
-        ("sequences --case zeta-p2 -n 257", "-n 257 exceeds the cap of 256"),
-        ("certify --case zeta-p2 -n 257", "-n 257 exceeds the cap of 256"),
-        ("certify --case zeta-p2 --window 3 256", "--window rows 257 exceeds the cap of 256"),
-        ("recurrence verify -n 257", "-n 257 exceeds the cap of 256"),
-    ],
-)
-def test_size_caps_are_usage_errors(argv, message, capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a capped request must not compute anything")
-
-    for name in (
-        "zeta_p_oracle",
-        "catalan_2adic_oracle",
-        "sequences",
-        "series_e_star",
-        "series_evil",
-    ):
-        monkeypatch.setattr(cli, name, refuse)
-    monkeypatch.setattr(cli.curves, "catalog", refuse)
-    monkeypatch.setattr(cli.curves, "uniformizer_series", refuse)
-    with pytest.raises(SystemExit) as err:
-        main(argv.split())
-    assert err.value.code == 2
-    assert capsys.readouterr().err.endswith(f"error: {message}\n")
-
-
 def test_oracle_at_the_bits_cap_meets_the_request(capsys):
     code, out, err = run_cli(capsys, "oracle", "--target", "zeta-p2", "--bits", "2048")
     assert code == 0
     assert err == ""
     assert json.loads(out)["agreement_exponent"] >= 2048
-
-
-def test_oracle_rejects_catalan_with_n():
-    with pytest.raises(SystemExit) as err:
-        main(["oracle", "--target", "catalan", "-n", "2"])
-    assert err.value.code == 2
 
 
 def test_recurrence_verify_and_fit(capsys):
@@ -604,32 +472,16 @@ def test_certify_derives_the_curve_twice(capsys, monkeypatch):
     assert calls == ["zeta-p2:k=1", "zeta-p2:k=1"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "series --prec 0",
-        "sequences --case zeta-p2 -k 17",
-        "certify --case zeta-p2 --window 5 3",
-        "oracle --target catalan -n 2",
-        "recurrence fit -n 5",
-    ],
-)
-def test_usage_errors_name_their_subcommand(argv, capsys):
-    """A handler's usage error prints its subcommand's usage line and name,
-    as argparse does for that subcommand's own errors."""
-    command = argv.split()[0]
-    with pytest.raises(SystemExit) as err:
-        main(argv.split())
-    assert err.value.code == 2
-    stderr = capsys.readouterr().err
-    assert stderr.startswith(f"usage: padicapery {command} [-h]")
-    assert f"\npadicapery {command}: error: " in stderr
-
-
-def test_unknown_command_is_usage_error():
+def test_unknown_command_is_usage_error(capsys):
+    """Apart from test_cli_bytes.CLI_REFUSED, since argparse words the end of
+    this error differently across Python versions."""
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
-    assert err.value.code == 2
+    out, stderr = capsys.readouterr()
+    assert (err.value.code, out) == (2, "")
+    assert stderr.splitlines()[-1].startswith(
+        "padicapery: error: argument command: invalid choice: 'frobnicate'"
+    )
 
 
 def test_module_entry_point():
@@ -760,45 +612,6 @@ def test_help_text_is_pinned(command, capsys, monkeypatch):
     assert err.value.code == 0
     help_text = capsys.readouterr().out
     assert hashlib.sha256(help_text.encode()).hexdigest() == _HELP_SHA256[command]
-
-
-@pytest.mark.parametrize(
-    "env, argv, message",
-    [
-        ({"PADICAPERY_MAX_TERMS": "100000"}, "sequences --case zeta-p2 -n 257",
-         "-n 257 exceeds the cap of 256"),
-        ({}, "recurrence fit -n 10",
-         "-n 10: not enough sequence values for this order and degree (need 12)"),
-        ({}, "series --form e --weight 34 --prec 2", "--weight 34 exceeds the cap of 33"),
-        ({}, "series --case zeta-p2 --p 3 --weight 99",
-         "--p and --weight do not apply to --case"),
-        ({}, "series --case catalan-p2 --weight 1", "--p and --weight do not apply to --case"),
-        ({}, "series --form f-prime --weight 7", "--weight does not apply to form f-prime"),
-        ({}, "certify --case zeta-p2 -n -5", "-n must be positive"),
-        ({}, "certify --case catalan-p2 -n 0", "-n must be positive"),
-        ({}, "recurrence verify --case zeta-p2 -k 3",
-         "zeta-p2:k=3 has no built-in recurrence"),
-        ({}, "sequences --case zeta-p2 -k 0", "k must be >= 1"),
-        ({}, "sequences --case catalan-p2 -k 2", "the Catalan case has no weight parameter"),
-        ({}, "series --form f --weight 2", "weight must be odd and >= 1, got 2"),
-        ({}, "certify --case zeta-p2 --window -1 3", "--window needs 0 <= LO <= HI"),
-    ],
-    ids=[
-        "old-cap-variable-ignored", "fit-n10", "weight-34", "series-case-p-weight",
-        "series-case-weight", "f-prime-weight", "certify-n-negative", "certify-n-0",
-        "recurrence-k3", "k-0", "catalan-k2", "f-even-weight", "window-negative-lo",
-    ],
-)
-def test_usage_errors_exit_two_without_traceback(env, argv, message):
-    result = subprocess.run(
-        [sys.executable, "-m", "padicapery", *argv.split()],
-        capture_output=True,
-        text=True,
-        env={**os.environ, **env},
-    )
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert result.stderr.endswith(f"error: {message}\n")
 
 
 def test_integers_past_the_str_digit_limit_print(capsys):

@@ -1,16 +1,22 @@
-"""Every pinned CLI output: one table of argv -> sha256 of stdout.
+"""Every pinned CLI outcome: one table of accepted argv -> sha256 of stdout
+and one of refused argv -> the last line of stderr.
 
 A new pin is one row; a deliberate byte change is a one-line diff.  Each
-row runs through `main` in process and must exit 0 with an empty stderr.
-The --help digests live in test_cli, because they hold on Python 3.11 at
-80 columns only.
+row runs through `main` in process.  An accepted row must exit 0 with an
+empty stderr; a refused row must exit 2 with an empty stdout, its parser's
+usage first and its error last.  The --help digests live in test_cli,
+because they hold on Python 3.11 at 80 columns only.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from padicapery import cli, curves
 from padicapery.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -98,6 +104,80 @@ CLI_SHA256 = {
     "oracle --target zeta-p3 --bits 40": "398a1c3ec32cbc6b44932b910cbe7d621911461b91c924ca6576bdb699037816",
     "oracle --target zeta-p5 --bits 40": "81ea35100fecbe451bbc8169c21385ff75e3b808bc83d751dba79dd31c354a98",
     "recurrence verify --case zeta-p2 -k 2 -n 64": "fad234aa5298f4befe2e2641b0e815a953c6de36bd916842f2c34b898492ac09",
+    # More rows than an environment cap once allowed, and the largest
+    # --weight, -k and oracle -n that no row above reaches.
+    "sequences --case zeta-p2 -n 65": "5ee2af4e5ade3329609cec13afecf3f8c53ca3de5d4883f306294793055c1183",
+    "series --form f --weight 33 --prec 3": "eeeded560a45259596b0c6f8dd5472f6482e1f3ab2b194a313fde027d50094e1",
+    "sequences --case zeta-p2 -k 16 -n 2": "c3ec0e23d85d115c0fbc5bae90c65462d7d2ea63d38ff64e85b3b295790ead2f",
+    "oracle --target zeta-p2 -n 16 --bits 1": "034142d560423cc61319f631f63d29d3e90926740a5bae4378503361777b4858",
+}
+
+CLI_REFUSED = {
+    # The handlers' size and window checks, which come before any computation.
+    "series --case zeta-p2 --prec 257": "padicapery series: error: --prec 257 exceeds the cap of 256",
+    "series --form evil --weight 4 --p 2 --prec 100000000000": "padicapery series: error: --prec 100000000000 exceeds the cap of 256",
+    "series --form e --weight 34": "padicapery series: error: --weight 34 exceeds the cap of 33",
+    "series --form e --weight 34 --prec 2": "padicapery series: error: --weight 34 exceeds the cap of 33",
+    "series --form evil --p 65537 --weight 4": "padicapery series: error: --p 65537 exceeds the cap of 65536",
+    "series --form e-star --p 1000000000000000003 --weight 2 --prec 3": "padicapery series: error: --p 1000000000000000003 exceeds the cap of 65536",
+    "sequences --case zeta-p2 -n 257": "padicapery sequences: error: -n 257 exceeds the cap of 256",
+    "sequences --case zeta-p2 -k 17": "padicapery sequences: error: -k 17 exceeds the cap of 16",
+    "certify --case zeta-p2 -n 257": "padicapery certify: error: -n 257 exceeds the cap of 256",
+    "certify --case zeta-p2 -n -5": "padicapery certify: error: -n must be positive",
+    "certify --case catalan-p2 -n 0": "padicapery certify: error: -n must be positive",
+    "certify --case zeta-p2 -k 17": "padicapery certify: error: -k 17 exceeds the cap of 16",
+    "certify --case zeta-p2 --bits 100000": "padicapery certify: error: --bits 100000 exceeds the cap of 2048",
+    "certify --case zeta-p2 --window 3 256": "padicapery certify: error: --window rows 257 exceeds the cap of 256",
+    "certify --case zeta-p2 --window 5 3": "padicapery certify: error: --window needs 0 <= LO <= HI",
+    "certify --case zeta-p2 --bits 200 --window 5 3": "padicapery certify: error: --window needs 0 <= LO <= HI",
+    "certify --case zeta-p2 --window -1 3": "padicapery certify: error: --window needs 0 <= LO <= HI",
+    "oracle --target zeta-p3 --bits 2049": "padicapery oracle: error: --bits 2049 exceeds the cap of 2048",
+    "oracle --target catalan --digits 2049": "padicapery oracle: error: --digits 2049 exceeds the cap of 2048",
+    "oracle --target zeta-p2 -n 200": "padicapery oracle: error: -n 200 exceeds the cap of 16",
+    "recurrence verify -n 257": "padicapery recurrence: error: -n 257 exceeds the cap of 256",
+    # The handlers' other checks.
+    "series --prec 3": "padicapery series: error: exactly one of --form and --case is required",
+    "series --prec 0": "padicapery series: error: exactly one of --form and --case is required",
+    "series --form e --case zeta-p2": "padicapery series: error: exactly one of --form and --case is required",
+    "series --case zeta-p2 --p 3 --weight 99": "padicapery series: error: --p and --weight do not apply to --case",
+    "series --case catalan-p2 --weight 1": "padicapery series: error: --p and --weight do not apply to --case",
+    "series --form evil --weight 4 --prec 3": "padicapery series: error: --p is required for form evil",
+    "series --form f --weight 1 --p 2 --prec 3": "padicapery series: error: --p does not apply to form f",
+    "series --form f-prime --weight 7": "padicapery series: error: --weight does not apply to form f-prime",
+    "oracle --target catalan -n 2": "padicapery oracle: error: the Catalan oracle is defined for n = 1 only",
+    "recurrence verify --case zeta-p2 -k 3": "padicapery recurrence: error: zeta-p2:k=3 has no built-in recurrence",
+    # The library's ValueError, reported as a usage error.  p = 65536 is the
+    # one p that tells the --p cap's > from >=.
+    "series --form e-star --weight 2 --p 0 --prec 5": "padicapery series: error: p must be a prime integer, got 0",
+    "series --form e-star --weight 2 --p 1 --prec 5": "padicapery series: error: p must be a prime integer, got 1",
+    "series --form e-star --weight 2 --p 4 --prec 5": "padicapery series: error: p must be a prime integer, got 4",
+    "series --form e-star --weight 2 --p -2 --prec 5": "padicapery series: error: p must be a prime integer, got -2",
+    "series --form e-prime --weight 2 --p 0 --prec 5": "padicapery series: error: p must be a prime integer, got 0",
+    "series --form e-prime --weight 2 --p 1 --prec 5": "padicapery series: error: p must be a prime integer, got 1",
+    "series --form e-prime --weight 2 --p 4 --prec 5": "padicapery series: error: p must be a prime integer, got 4",
+    "series --form e-prime --weight 2 --p -2 --prec 5": "padicapery series: error: p must be a prime integer, got -2",
+    "series --form evil --weight 4 --p 0 --prec 5": "padicapery series: error: p must be a prime integer, got 0",
+    "series --form evil --weight 4 --p 1 --prec 5": "padicapery series: error: p must be a prime integer, got 1",
+    "series --form evil --weight 4 --p 4 --prec 5": "padicapery series: error: p must be a prime integer, got 4",
+    "series --form evil --weight 4 --p -2 --prec 5": "padicapery series: error: p must be a prime integer, got -2",
+    "series --form evil --p 65536 --weight 4": "padicapery series: error: p must be a prime integer, got 65536",
+    "series --form f --weight 2": "padicapery series: error: weight must be odd and >= 1, got 2",
+    "sequences --case zeta-p2 -k 0": "padicapery sequences: error: k must be >= 1",
+    "sequences --case catalan-p2 -k 2": "padicapery sequences: error: the Catalan case has no weight parameter",
+    "recurrence fit -n 5": "padicapery recurrence: error: -n 5: not enough sequence values for this order and degree (need 12)",
+    "recurrence fit -n 10": "padicapery recurrence: error: -n 10: not enough sequence values for this order and degree (need 12)",
+    # argparse's own refusal, through the top-level parser.
+    "series --case zeta-p2 -k 1000000": "padicapery: error: unrecognized arguments: -k 1000000",
+}
+# An error with one of these refuses the request before anything is computed.
+_UNCOMPUTED = ("exceeds the cap of", "must be positive", "--window needs")
+_COMPUTE = {
+    cli: (
+        "catalan_2adic_oracle", "reexpanded_columns", "sequences", "series_e",
+        "series_e_prime", "series_e_star", "series_evil", "series_f",
+        "series_f_prime", "zeta_p_oracle",
+    ),
+    curves: ("catalog", "uniformizer_series"),
 }
 
 
@@ -109,9 +189,46 @@ def test_stdout_matches_its_digest(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[argv]
 
 
+def _refuse(*args):
+    raise AssertionError("a refused request must not compute anything")
+
+
+@pytest.mark.parametrize("argv", CLI_REFUSED)
+def test_refusal_matches_its_error(argv, capsys, monkeypatch):
+    """The retired PADICAPERY_MAX_TERMS is set and changes no cap."""
+    monkeypatch.setenv("PADICAPERY_MAX_TERMS", "100000")
+    error = CLI_REFUSED[argv]
+    if any(marker in error for marker in _UNCOMPUTED):
+        for module, names in _COMPUTE.items():
+            for name in names:
+                monkeypatch.setattr(module, name, _refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (2, "")
+    lines = err.splitlines()
+    prog = error.partition(": error: ")[0]
+    assert lines[0].startswith(f"usage: {prog} [-h]")
+    assert lines[-1] == error
+
+
+@pytest.mark.parametrize("argv", ["sequences --case zeta-p2 -n 257", "recurrence fit -n 10"])
+def test_refusal_has_no_traceback(argv):
+    """A cap and a library ValueError, in a fresh `python -m` process."""
+    result = subprocess.run(
+        [sys.executable, "-m", "padicapery", *argv.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PADICAPERY_MAX_TERMS": "100000"},
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == CLI_REFUSED[argv]
+
+
 def test_every_readme_invocation_is_pinned():
     """Each `padicapery ...` line of the README, without its `# ...` comment
-    and its `-o FILE`, is a row of the table."""
+    and its `-o FILE`, is a row of CLI_SHA256."""
     invocations = []
     for line in README.read_text().splitlines():
         if line.startswith("padicapery "):
