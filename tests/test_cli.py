@@ -83,6 +83,12 @@ def test_sequences_json_sorted_keys(capsys):
     assert out == dumped
 
 
+def test_sequences_cap_is_usage_error():
+    with pytest.raises(SystemExit) as err:
+        main(["sequences", "--case", "zeta-p2", "-n", "257"])
+    assert err.value.code == 2
+
+
 def test_sequences_plain(capsys):
     code, out, err = run_cli(
         capsys, "sequences", "--case", "zeta-p2", "-n", "4", "--format", "plain"
@@ -256,6 +262,25 @@ def test_certified_rows_keep_their_gaps(op, capsys):
         assert certified.get(n) == gap, n
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--case", "zeta-p2"),
+        ("certify", "--case", "zeta-p3", "--bits", "30", "--window", "3", "8"),
+        ("certify", "--case", "catalan-p2"),
+        ("oracle", "--target", "catalan", "--bits", "40"),
+        ("oracle", "--target", "zeta-p2", "-n", "1", "--bits", "40"),
+        ("oracle", "--target", "zeta-p3", "--bits", "40"),
+        ("certify", "--case", "zeta-p5"),
+        ("oracle", "--target", "zeta-p5", "--bits", "40"),
+    ],
+)
+def test_default_sizes_leave_stderr_empty(argv, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+
+
 def test_certify_p5_certified_rows(capsys):
     """Every default zeta-p5 row is certified; the verdict fails because
     the closed-form exponent 0.89 is below 1."""
@@ -300,11 +325,38 @@ def test_oracle_inconsistency_exits_one(capsys, monkeypatch):
     assert err == "oracle inconsistency: strategies disagree\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("sequences --case zeta-p2 -k 17", "-k 17 exceeds the cap of 16"),
+        ("sequences --case zeta-p2 -n 257", "-n 257 exceeds the cap of 256"),
+    ],
+)
+def test_size_caps_are_usage_errors(argv, message, capsys, monkeypatch):
+    """The sequences caps refuse before the table is built; the caps of
+    every subcommand are rows of test_cli_bytes.CLI_REFUSED."""
+
+    def refuse(*args):
+        raise AssertionError("a capped request must not compute anything")
+
+    monkeypatch.setattr(cli, "sequences", refuse)
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_oracle_at_the_bits_cap_meets_the_request(capsys):
     code, out, err = run_cli(capsys, "oracle", "--target", "zeta-p2", "--bits", "2048")
     assert code == 0
     assert err == ""
     assert json.loads(out)["agreement_exponent"] >= 2048
+
+
+def test_oracle_rejects_catalan_with_n():
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--target", "catalan", "-n", "2"])
+    assert err.value.code == 2
 
 
 def test_recurrence_verify_and_fit(capsys):
@@ -470,6 +522,25 @@ def test_certify_derives_the_curve_twice(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "certify", "--case", "zeta-p2")
     assert code == 0
     assert calls == ["zeta-p2:k=1", "zeta-p2:k=1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sequences --case zeta-p2 -k 17",
+        "oracle --target catalan -n 2",
+    ],
+)
+def test_usage_errors_name_their_subcommand(argv, capsys):
+    """A handler's usage error prints its subcommand's usage line and name,
+    as argparse does for that subcommand's own errors."""
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"usage: padicapery {command} [-h]")
+    assert f"\npadicapery {command}: error: " in stderr
 
 
 def test_unknown_command_is_usage_error(capsys):
