@@ -110,6 +110,9 @@ CLI_SHA256 = {
     "series --form f --weight 33 --prec 3": "eeeded560a45259596b0c6f8dd5472f6482e1f3ab2b194a313fde027d50094e1",
     "sequences --case zeta-p2 -k 16 -n 2": "c3ec0e23d85d115c0fbc5bae90c65462d7d2ea63d38ff64e85b3b295790ead2f",
     "oracle --target zeta-p2 -n 16 --bits 1": "034142d560423cc61319f631f63d29d3e90926740a5bae4378503361777b4858",
+    # Every row's gap stops at the oracle's 17 digits: none is certified and
+    # the verdict is UNCERTIFIED.
+    "certify --case zeta-p2 --bits 1 --window 40 45": "d9a2401284f08854fe97d74e6a9026e4a0a08c29d717b1010fa8b1810535e8bc",
 }
 
 CLI_REFUSED = {

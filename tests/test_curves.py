@@ -133,10 +133,11 @@ def test_canaries_refuse_a_vacuous_tail(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_canaries_see_the_last_term(monkeypatch, family):
     """The log-derivative check reads f through q^prec and the curve check
-    reads f/Delta through q^(prec - 1): a change at either last term fails."""
+    reads f/Delta through q^(prec - 1): a change at either last term fails,
+    at prec 16 and at the least prec, B + 2, where Q is read off every term
+    of f/Delta but that last one."""
     import padicapery.curves as curves_module
 
-    prec = 16
     config = catalog(family)
 
     def bumped(series, index):
@@ -145,23 +146,24 @@ def test_canaries_see_the_last_term(monkeypatch, family):
         return QSeries(nums, den=series.den)
 
     build_f, build_eta = curves_module.uniformizer_series, curves_module.expand_product
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            curves_module, "uniformizer_series", lambda *args: bumped(build_f(*args), prec)
-        )
-        with pytest.raises(IdentityError, match=r"theta\(f\)/f"):
-            run_canaries(config, prec)
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            curves_module,
-            "expand_product",
-            lambda eta, n: bumped(build_eta(eta, n), prec - 1)
-            if sum(delta * r for delta, r in eta) == 0
-            else build_eta(eta, n),
-        )
-        with pytest.raises(IdentityError, match=r"^G\^6 f/Delta"):
-            run_canaries(config, prec)
-    run_canaries(config, prec)
+    for prec in (16, INDEX_BOUNDS[family] + 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                curves_module, "uniformizer_series", lambda *args: bumped(build_f(*args), prec)
+            )
+            with pytest.raises(IdentityError, match=r"theta\(f\)/f"):
+                run_canaries(config, prec)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                curves_module,
+                "expand_product",
+                lambda eta, n: bumped(build_eta(eta, n), prec - 1)
+                if sum(delta * r for delta, r in eta) == 0
+                else build_eta(eta, n),
+            )
+            with pytest.raises(IdentityError, match=r"^G\^6 f/Delta"):
+                run_canaries(config, prec)
+        run_canaries(config, prec)
 
 
 def test_run_canaries_all_cases():

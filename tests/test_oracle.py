@@ -1,13 +1,15 @@
 """p-adic limit evaluation by the Washington series, with certified agreement
 and cross-checks against Newton interpolation."""
 
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from padicapery import eisenstein, oracle
-from padicapery.curves import catalog
+from padicapery.cli import main
+from padicapery.curves import FAMILY_TABLE, catalog
 from padicapery.eisenstein import l_chi4_neg, zeta_star
 from padicapery.exactnum import INFINITY, vp
 from padicapery.expansion import sequences
@@ -122,11 +124,13 @@ def test_stride_exponent(p, n, t):
 
 
 @pytest.mark.parametrize("n", range(1, 17))
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [f.p for f in FAMILY_TABLE.values() if not f.fixed_k])
 def test_zeta_nodes_reach_40_digits(p, n):
     """The oracle's nodes, (s - 1) zeta_p(s) at s = 1 - m over its s - 1 = 2n
     at the target, reach 40 digits at the oracle's spacing and agree there
-    with the series."""
+    with the series.  Every family with an index is checked at every n the
+    CLI allows, and at 1 digit too, where Newton stops at its earliest node."""
+    assert zeta_p_oracle(p, n, 1).agreement_exponent == 1 + oracle._SLACK
 
     def node(m):
         return (1 - Fraction(p) ** (m - 1)) * eisenstein.bernoulli(m) / (2 * n)
@@ -299,6 +303,10 @@ def test_newton_shortfall_is_an_inconsistency(p, monkeypatch):
         zeta_p_oracle(p, 1, 40)
 
 
-@pytest.mark.parametrize("target", ["catalan", "zeta-p2", "zeta-p3", "zeta-p5"])
-def test_oracle_meets_1500_digit_request(target):
-    assert ORACLES[target][1](1500).agreement_exponent >= 1500
+@pytest.mark.parametrize("target", sorted(f.oracle for f in FAMILY_TABLE.values()))
+def test_oracle_meets_1500_digit_request(target, capsys):
+    """Each family's oracle target, through the CLI, at 1500 digits."""
+    code = main(["oracle", "--target", target, "--bits", "1500"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["agreement_exponent"] == 1500 + oracle._SLACK
