@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import os
-import subprocess
 import sys
 
 import pytest
@@ -14,7 +13,8 @@ from padicapery.cli import main
 from padicapery.curves import catalog
 from padicapery.oracle import OracleInconsistency
 from padicapery.recurrence import RecurrenceSpec
-from test_cli_bytes import CLI_SHA256
+from test_cli_bytes import CLI_SHA256, readme_invocations, without_output_file
+from test_package import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -556,11 +556,8 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "padicapery", "oracle", "--target", "zeta-p2",
-         "--bits", "20", "--digits", "3"],
-        capture_output=True,
-        text=True,
+    result = run_fresh(
+        "-m", "padicapery", "oracle", "--target", "zeta-p2", "--bits", "20", "--digits", "3"
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)
@@ -580,9 +577,7 @@ def test_cli_import_leaves_out_statistics_and_csv():
         "    seen.append(loaded())\n"
         "print(seen, file=sys.stderr)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
-    )
+    result = run_fresh("-c", script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("n,a_num,a_den,b,p_n,q_n\n")
     assert result.stderr == "[[], [], []]\n"
@@ -603,58 +598,77 @@ def test_output_file_holds_the_printed_bytes(tmp_path, capsys):
     argv = ["sequences", "--case", "zeta-p2", "-n", "12", "--format", "json"]
     _, printed, _ = run_cli(capsys, *argv)
     target = tmp_path / "table.json"
-    result = subprocess.run(
-        [sys.executable, "-m", "padicapery", *argv, "-o", str(target)],
-        capture_output=True,
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    result = run_fresh("-m", "padicapery", *argv, "-o", str(target))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
     assert target.read_bytes() == printed.encode()
 
 
 def test_unwritable_output_exits_one_without_traceback(tmp_path):
     target = tmp_path / "no-such-dir" / "x.csv"
-    result = subprocess.run(
-        [sys.executable, "-m", "padicapery", "sequences", "--case", "zeta-p2",
-         "-o", str(target)],
-        capture_output=True,
-        text=True,
-    )
+    result = run_fresh("-m", "padicapery", "sequences", "--case", "zeta-p2", "-o", str(target))
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("i/o error: ")
     assert "Traceback" not in result.stderr
 
 
-_FULL_STDOUT_ARGV = (
-    "series --case zeta-p2 --prec 5",
-    "sequences --case catalan-p2 -n 7",
-    "certify --case zeta-p2",
-    "oracle --target catalan --bits 40",
-    "recurrence verify",
-    "--help",
-)
+_README_ARGV = [*readme_invocations(), "--help"]
+# The README's invocations that write their output to an -o file.
+_TO_FILE = [argv for argv in _README_ARGV if argv != without_output_file(argv)]
+_TO_STDOUT = [argv for argv in _README_ARGV if argv not in _TO_FILE]
+_HAS_DEV_FULL = os.path.exists("/dev/full")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def _output_file_digest(argv: str, directory) -> str:
+    words = argv.split()
+    output = (directory / words[words.index("-o") + 1]).read_bytes()
+    return hashlib.sha256(output).hexdigest()
+
+
+def _run_on_full_stdout(flags, argv, cwd=None):
+    """Run argv with stdout on /dev/full, buffered unless flags hold -u."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        return run_fresh(*flags, "-m", "padicapery", *argv.split(), stdout=full, cwd=cwd, env=env)
+
+
+@pytest.mark.parametrize("argv", _README_ARGV)
+def test_readme_invocation_runs_clean(argv, tmp_path):
+    """Each README invocation and --help, fresh in an empty directory: exit 0
+    and an empty stderr, which is where a ResourceWarning raised in a
+    finalizer lands, and the pinned bytes on stdout or in the -o file."""
+    result = run_fresh("-m", "padicapery", *argv.split(), cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    if argv == "--help":
+        assert result.stdout.startswith("usage: padicapery [-h]")
+    elif argv in _TO_FILE:
+        assert result.stdout == ""
+        assert _output_file_digest(argv, tmp_path) == CLI_SHA256[without_output_file(argv)]
+    else:
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == CLI_SHA256[argv]
+
+
+@pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full here")
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "-u"])
+@pytest.mark.parametrize("argv", _TO_FILE)
+def test_output_file_run_ignores_a_full_stdout(argv, flags, tmp_path):
+    result = _run_on_full_stdout(flags, argv, cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert _output_file_digest(argv, tmp_path) == CLI_SHA256[without_output_file(argv)]
+
+
+@pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full here")
 @pytest.mark.parametrize(
     "flags,argv",
-    [pytest.param((), argv, id=argv) for argv in _FULL_STDOUT_ARGV]
-    + [pytest.param(("-u",), argv, id=f"-u {argv}") for argv in _FULL_STDOUT_ARGV],
+    [pytest.param((), argv, id=argv) for argv in _TO_STDOUT]
+    + [pytest.param(("-u",), argv, id=f"-u {argv}") for argv in _TO_STDOUT],
 )
 def test_full_stdout_exits_one_with_one_io_error(flags, argv):
     """A small output that stdout cannot take fails when main flushes it, not
     at interpreter exit (exit 120 and "Exception ignored in: ...").  With a
     write-through stdout (python -u, or PYTHONUNBUFFERED) it fails at the
     write itself, --help's too: argparse would drop that error and exit 0."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    with open("/dev/full", "w") as full:
-        result = subprocess.run(
-            [sys.executable, *flags, "-m", "padicapery", *argv.split()],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+    result = _run_on_full_stdout(flags, argv)
     assert result.returncode == 1
     assert result.stderr == "i/o error: [Errno 28] No space left on device\n"
 

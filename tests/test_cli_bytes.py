@@ -10,14 +10,13 @@ because they hold on Python 3.11 at 80 columns only.
 
 import hashlib
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from padicapery import cli, curves
 from padicapery.cli import main
+from test_package import run_fresh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -218,27 +217,35 @@ def test_refusal_matches_its_error(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", ["sequences --case zeta-p2 -n 257", "recurrence fit -n 10"])
 def test_refusal_has_no_traceback(argv):
     """A cap and a library ValueError, in a fresh `python -m` process."""
-    result = subprocess.run(
-        [sys.executable, "-m", "padicapery", *argv.split()],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PADICAPERY_MAX_TERMS": "100000"},
+    result = run_fresh(
+        "-m", "padicapery", *argv.split(), env={**os.environ, "PADICAPERY_MAX_TERMS": "100000"}
     )
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines()[-1] == CLI_REFUSED[argv]
 
 
+def readme_invocations() -> list[str]:
+    """The argv of each `padicapery ...` line of the README, without its
+    `# ...` comment."""
+    return [
+        " ".join(line.partition("#")[0].split()[1:])
+        for line in README.read_text().splitlines()
+        if line.startswith("padicapery ")
+    ]
+
+
+def without_output_file(argv: str) -> str:
+    """argv without its `-o FILE`: the file holds the bytes that stdout would."""
+    words = argv.split()
+    if "-o" in words:
+        at = words.index("-o")
+        del words[at:at + 2]
+    return " ".join(words)
+
+
 def test_every_readme_invocation_is_pinned():
-    """Each `padicapery ...` line of the README, without its `# ...` comment
-    and its `-o FILE`, is a row of CLI_SHA256."""
-    invocations = []
-    for line in README.read_text().splitlines():
-        if line.startswith("padicapery "):
-            argv = line.partition("#")[0].split()[1:]
-            if "-o" in argv:
-                at = argv.index("-o")
-                del argv[at:at + 2]
-            invocations.append(" ".join(argv))
+    """Each README invocation, without its `-o FILE`, is a row of CLI_SHA256."""
+    invocations = list(map(without_output_file, readme_invocations()))
     assert invocations
     assert [argv for argv in invocations if argv not in CLI_SHA256] == []

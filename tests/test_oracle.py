@@ -54,11 +54,13 @@ def test_catalan_oracle_against_published_approximant():
 
 
 def test_catalan_oracle_digit_expansion():
-    """The ten leading nonzero digits sit at the published exponents."""
+    """The ten leading nonzero digits sit at the published exponents; ten
+    is also how many digits() lists by default."""
     value = catalan_2adic_oracle(40)
-    exponents = [e for e, _ in value.digits(10)]
-    assert exponents == [-1, 0, 2, 3, 5, 6, 7, 9, 13, 18]
-    assert all(d == 1 for _, d in value.digits(10))
+    digits = value.digits()
+    assert digits == value.digits(10)
+    assert [e for e, _ in digits] == [-1, 0, 2, 3, 5, 6, 7, 9, 13, 18]
+    assert all(d == 1 for _, d in digits)
 
 
 def test_oracle_agreement_is_monotone_in_target():

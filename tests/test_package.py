@@ -1,12 +1,17 @@
-"""The documented library surface: the README snippet and every __all__."""
+"""The documented library surface: the README snippet, the docstring examples
+and every __all__."""
 
+import doctest
 import importlib
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import padicapery
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = (
@@ -40,9 +45,17 @@ def library_snippet() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def test_readme_library_snippet_runs(capsys):
-    exec(compile(library_snippet(), str(README), "exec"), {})
-    assert capsys.readouterr().out == "WITNESS_PASS 4\n"
+def test_readme_library_snippet_runs():
+    result = run_fresh("-c", library_snippet())
+    assert (result.returncode, result.stdout, result.stderr) == (0, "WITNESS_PASS 4\n", "")
+
+
+def test_docstring_examples_hold():
+    """Every >>> example in the package: 7 in 5 docstrings, so a docstring
+    that loses its examples fails here too."""
+    results = [doctest.testmod(importlib.import_module(name)) for name in MODULES]
+    assert sum(result.failed for result in results) == 0
+    assert sum(result.attempted for result in results) >= 7
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -54,19 +67,32 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", {})
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run script in a new interpreter that turns every warning into an error."""
+# Where this suite imports the package from, so that a new interpreter runs
+# the same code from any working directory.
+SRC = str(Path(padicapery.__file__).parents[1])
+
+
+def run_fresh(
+    *args: str, stdout=subprocess.PIPE, cwd=None, env=os.environ
+) -> subprocess.CompletedProcess:
+    """Run `python -X dev -W error *args` in a new interpreter: dev mode, and
+    every warning an error.  stderr, and stdout unless it is redirected,
+    come back as text."""
+    path = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", script],
-        capture_output=True,
+        [sys.executable, "-X", "dev", "-W", "error", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
+        cwd=cwd,
+        env={**env, "PYTHONPATH": path},
     )
 
 
 def load_order(statement: str) -> list[str]:
     """sys.modules after statement, run first in a new interpreter, in the
     order the imports finished."""
-    result = run_fresh(f"{statement}\nimport sys\nprint(*sys.modules, sep='\\n')")
+    result = run_fresh("-c", f"{statement}\nimport sys\nprint(*sys.modules, sep='\\n')")
     assert result.returncode == 0 and result.stderr == "", result.stderr
     return result.stdout.split()
 
@@ -79,7 +105,7 @@ def loaded_after(statement: str) -> set[str]:
 def test_each_module_imports_first(name):
     """The exports resolve on first use, so any module can be the first one
     loaded, in orders the package itself never takes."""
-    result = run_fresh(f"from {name} import *")
+    result = run_fresh("-c", f"from {name} import *")
     assert (result.returncode, result.stderr) == (0, "")
 
 
@@ -134,13 +160,15 @@ def test_an_unknown_name_is_an_attribute_error():
 def test_submodules_resolve_after_a_bare_import():
     submodules = [name.split(".")[1] for name in MODULES[1:]]
     script = f"import padicapery\nprint(*(getattr(padicapery, m).__name__ for m in {submodules}))"
-    result = run_fresh(script)
+    result = run_fresh("-c", script)
     assert (result.stdout, result.stderr) == (" ".join(MODULES[1:]) + "\n", "")
 
 
 def test_a_failing_submodule_import_is_not_an_attribute_error():
     """A module missing under a submodule is reported as that module."""
-    result = run_fresh("import sys\nsys.modules['fractions'] = None\nimport padicapery\npadicapery.curves")
+    result = run_fresh(
+        "-c", "import sys\nsys.modules['fractions'] = None\nimport padicapery\npadicapery.curves"
+    )
     assert result.returncode == 1
     assert result.stderr.endswith(
         "ModuleNotFoundError: import of fractions halted; None in sys.modules\n"
